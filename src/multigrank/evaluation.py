@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .dataset import Dataset, DomainRecord
 from .ranker import RankedList
@@ -114,6 +113,17 @@ def auc(curve: list[CurvePoint]) -> float:
     return float(np.trapezoid(tpr, fpr))
 
 
+def _average_ranks(a: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``a`` ascending; each tied run gets the mean of its positions."""
+    order = np.argsort(a, kind="stable")
+    sorted_a = a[order]
+    starts = np.flatnonzero(np.r_[True, sorted_a[1:] != sorted_a[:-1]])
+    ends = np.r_[starts[1:], a.size]
+    ranks = np.empty(a.size)
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks
+
+
 def auc_from_scores(scores: np.ndarray, relevant_mask: np.ndarray) -> float:
     """Rank-statistic AUC: fraction of (relevant, irrelevant) pairs scored in
     the right order, counting ties as half."""
@@ -123,7 +133,7 @@ def auc_from_scores(scores: np.ndarray, relevant_mask: np.ndarray) -> float:
     neg = mask.size - p
     if p == 0 or neg == 0:
         raise ValueError("degenerate relevance: need both classes present")
-    ranks = rankdata(scores)
+    ranks = _average_ranks(scores)
     return float((ranks[mask].sum() - p * (p + 1) / 2.0) / (p * neg))
 
 

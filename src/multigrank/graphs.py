@@ -80,100 +80,93 @@ class GraphPool:
         return self.graphs[0].n
 
 
-def edge_weight(x_i, x_j, spec: GraphSpec) -> float:
-    """Similarity of two vectors under the spec's weighting scheme."""
+# elements per row block of the (rows, N, d) broadcast in knn_neighbors
+_BLOCK_ELEMS = 1 << 21
+
+
+def _dot(a, b) -> np.ndarray:
+    return np.einsum("...i,...i->...", a, b)
+
+
+def _sq_dist(a, b) -> np.ndarray:
+    # explicit differences rather than the gram trick: exact zeros for
+    # duplicate points, so ties resolve by index as promised
+    diff = a - b
+    return _dot(diff, diff)
+
+
+def _ratio(num, den) -> np.ndarray:
+    # 0 where the denominator vanishes, which needs both vectors at 0
+    return np.divide(num, den, out=np.zeros(np.shape(num)), where=den != 0)
+
+
+def edge_weight(x_i, x_j, spec: GraphSpec):
+    """Similarity under the spec's weighting scheme, broadcast over leading axes.
+
+    The last axis holds the features.  Two vectors give a float, a vector
+    against an (n, d) matrix gives an (n,) row, and two (n, d) arrays give the
+    n pairwise weights.  Each element equals the scalar call on its pair.
+    """
     x_i = np.asarray(x_i, dtype=np.float64)
     x_j = np.asarray(x_j, dtype=np.float64)
-    if x_i.shape != x_j.shape:
+    if x_i.shape[-1:] != x_j.shape[-1:]:
         raise ValueError("edge_weight: vectors have different dimensions")
     if spec.scheme == "gaussian":
-        diff = x_i - x_j
-        return float(np.exp(-(diff @ diff) / (2.0 * spec.sigma**2)))
-    if spec.scheme == "dot_product":
-        return float(x_i @ x_j)
-    if spec.scheme == "cosine":
-        ni = np.linalg.norm(x_i)
-        nj = np.linalg.norm(x_j)
-        if ni == 0.0 or nj == 0.0:
-            raise ValueError("zero vector under cosine similarity")
-        return float((x_i @ x_j) / (ni * nj))
-    if spec.scheme == "jaccard":
+        w = np.exp(-_sq_dist(x_i, x_j) / (2.0 * spec.sigma**2))
+    elif spec.scheme == "jaccard":
         if (x_i < 0).any() or (x_j < 0).any():
             raise ValueError("jaccard requires nonnegative features")
-        denom = np.maximum(x_i, x_j).sum()
-        return float(np.minimum(x_i, x_j).sum() / denom) if denom > 0 else 0.0
-    # tanimoto; denominator is 0 only when both vectors are 0
-    dot = float(x_i @ x_j)
-    denom = float(x_i @ x_i) + float(x_j @ x_j) - dot
-    return dot / denom if denom != 0.0 else 0.0
+        w = _ratio(np.minimum(x_i, x_j).sum(axis=-1), np.maximum(x_i, x_j).sum(axis=-1))
+    else:
+        dot = _dot(x_i, x_j)
+        if spec.scheme == "dot_product":
+            w = dot
+        elif spec.scheme == "cosine":
+            ni = np.sqrt(_dot(x_i, x_i))
+            nj = np.sqrt(_dot(x_j, x_j))
+            if (ni == 0.0).any() or (nj == 0.0).any():
+                raise ValueError("zero vector under cosine similarity")
+            w = dot / (ni * nj)
+        else:  # tanimoto
+            w = _ratio(dot, _dot(x_i, x_i) + _dot(x_j, x_j) - dot)
+    return float(w) if np.ndim(w) == 0 else w
 
 
-def _sq_distances(X: np.ndarray) -> np.ndarray:
-    # row-wise differences rather than the gram trick: exact zeros for
-    # duplicate points, so ties resolve by index as promised
-    n = X.shape[0]
-    out = np.empty((n, n))
-    for i in range(n):
-        diff = X - X[i]
-        out[i] = np.einsum("ij,ij->i", diff, diff)
-    return out
-
-
-def _similarity_matrix(X: np.ndarray, spec: GraphSpec) -> np.ndarray:
-    """Dense pairwise weights under the scheme (diagonal included)."""
-    if spec.scheme == "gaussian":
-        return np.exp(-_sq_distances(X) / (2.0 * spec.sigma**2))
-    if spec.scheme == "dot_product":
-        return X @ X.T
-    if spec.scheme == "cosine":
-        norms = np.linalg.norm(X, axis=1)
-        if (norms == 0.0).any():
-            raise ValueError("zero vector under cosine similarity")
-        return (X @ X.T) / np.outer(norms, norms)
-    if spec.scheme == "jaccard":
-        if (X < 0).any():
-            raise ValueError("jaccard requires nonnegative features")
-        n = X.shape[0]
-        out = np.empty((n, n))
-        for i in range(n):
-            mins = np.minimum(X, X[i]).sum(axis=1)
-            maxs = np.maximum(X, X[i]).sum(axis=1)
-            out[i] = np.divide(mins, maxs, out=np.zeros(n), where=maxs > 0)
-        return out
-    gram = X @ X.T
-    sq = np.einsum("ij,ij->i", X, X)
-    denom = sq[:, None] + sq[None, :] - gram
-    return np.divide(gram, denom, out=np.zeros_like(gram), where=denom != 0)
-
-
-def _selection_scores(X: np.ndarray, spec: GraphSpec) -> np.ndarray:
-    """Pairwise closeness for neighbor selection; larger means closer."""
+def _closeness(a, b, spec: GraphSpec) -> np.ndarray:
+    """Neighbor-selection measure, larger means closer: the edge weight, except
+    negative squared distance for gaussian (same order) and dot_product."""
     if spec.scheme in ("gaussian", "dot_product"):
-        return -_sq_distances(X)
-    return _similarity_matrix(X, spec)
+        return -_sq_dist(a, b)
+    return edge_weight(a, b, spec)
 
 
-def _point_selection_scores(X: np.ndarray, x0: np.ndarray, spec: GraphSpec) -> np.ndarray:
-    if spec.scheme in ("gaussian", "dot_product"):
-        diff = X - x0
-        return -np.einsum("ij,ij->i", diff, diff)
-    return np.array([edge_weight(x0, X[j], spec) for j in range(X.shape[0])])
+def _symmetric_graph(spec: GraphSpec, n: int, rows, cols, vals) -> BaseGraph:
+    """Graph whose W holds each upper-triangle triplet at (i, j) and (j, i)."""
+    weights = sp.csr_matrix(
+        (np.concatenate([vals, vals]), (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
+        shape=(n, n),
+    )
+    return BaseGraph.from_weights(spec, weights)
 
 
 def knn_neighbors(ds: Dataset, spec: GraphSpec) -> np.ndarray:
     """Indices of each node's k nearest neighbors under the spec's measure.
 
     Returns an (N, k) array, closest first, self excluded, ties broken by
-    lower node index.
+    lower node index.  Rows are scored in blocks; no N x N array is formed.
     """
     X = ds.feature_matrix
-    n = X.shape[0]
+    n, d = X.shape
     if spec.k > n - 1:
         raise ValueError(f"k={spec.k} out of range for {n} nodes")
-    closeness = _selection_scores(X, spec)
-    np.fill_diagonal(closeness, -np.inf)
-    order = np.argsort(-closeness, axis=1, kind="stable")
-    return order[:, : spec.k]
+    step = max(1, _BLOCK_ELEMS // (n * max(d, 1)))
+    out = np.empty((n, spec.k), dtype=np.intp)
+    for start in range(0, n, step):
+        rows = np.arange(start, min(start + step, n))
+        closeness = _closeness(X[rows, None, :], X[None, :, :], spec)
+        closeness[rows - start, rows] = -np.inf
+        out[rows] = np.argsort(-closeness, axis=1, kind="stable")[:, : spec.k]
+    return out
 
 
 def build_graph(ds: Dataset, spec: GraphSpec) -> BaseGraph:
@@ -183,16 +176,10 @@ def build_graph(ds: Dataset, spec: GraphSpec) -> BaseGraph:
     nbrs = knn_neighbors(ds, spec)
     rows = np.repeat(np.arange(n), spec.k)
     cols = nbrs.ravel()
-    directed = sp.csr_matrix((np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(n, n))
-    edges = (directed + directed.T).tocoo()
-    full = _similarity_matrix(X, spec)
-    # index every edge by its upper-triangle orientation: W comes out exactly
-    # symmetric whatever the dense kernel rounding did
-    vals = np.maximum(
-        full[np.minimum(edges.row, edges.col), np.maximum(edges.row, edges.col)], 0.0
-    )
-    weights = sp.csr_matrix((vals, (edges.row, edges.col)), shape=(n, n))
-    return BaseGraph(spec=spec, weights=weights, degrees=weights @ np.ones(n))
+    # each union edge once, as i < j: weighing it once keeps W exactly symmetric
+    i, j = np.divmod(np.unique(np.minimum(rows, cols) * n + np.maximum(rows, cols)), n)
+    vals = np.maximum(edge_weight(X[i], X[j], spec), 0.0)
+    return _symmetric_graph(spec, n, i, j, vals)
 
 
 def build_pool(ds: Dataset, specs) -> GraphPool:
@@ -219,24 +206,26 @@ def extend_graph(graph: BaseGraph, ds: Dataset, x0) -> BaseGraph:
         )
     if graph.n != X.shape[0]:
         raise ValueError("graph and dataset have different node counts")
-    closeness = _point_selection_scores(X, x0, graph.spec)
+    closeness = _closeness(x0, X, graph.spec)
     nbrs = np.argsort(-closeness, kind="stable")[: graph.spec.k]
-    w = np.array([max(edge_weight(x0, X[j], graph.spec), 0.0) for j in nbrs])
+    w = np.maximum(edge_weight(x0, X[nbrs], graph.spec), 0.0)
     base = graph.weights.tocoo()
     n1 = graph.n + 1
     rows = np.concatenate([np.zeros(len(nbrs), dtype=int), nbrs + 1, base.row + 1])
     cols = np.concatenate([nbrs + 1, np.zeros(len(nbrs), dtype=int), base.col + 1])
     vals = np.concatenate([w, w, base.data])
-    weights = sp.csr_matrix((vals, (rows, cols)), shape=(n1, n1))
-    return BaseGraph(spec=graph.spec, weights=weights, degrees=weights @ np.ones(n1))
+    return BaseGraph.from_weights(graph.spec, sp.csr_matrix((vals, (rows, cols)), shape=(n1, n1)))
 
 
 def median_pairwise_distance(X: np.ndarray) -> float:
     """Median Euclidean distance over all point pairs (data-driven kernel scale)."""
     n = X.shape[0]
-    iu = np.triu_indices(n, k=1)
-    d2 = _sq_distances(X)[iu]
-    return float(np.median(np.sqrt(d2)))
+    d2 = np.empty(n * (n - 1) // 2)
+    pos = 0
+    for i in range(n - 1):
+        d2[pos : pos + n - 1 - i] = _sq_dist(X[i + 1 :], X[i])
+        pos += n - 1 - i
+    return float(np.median(np.sqrt(d2, out=d2), overwrite_input=True))
 
 
 def default_spec_grid(
@@ -314,9 +303,5 @@ def load_pool(path) -> GraphPool:
         rows = np.array([t[0] for t in trip], dtype=int)
         cols = np.array([t[1] for t in trip], dtype=int)
         vals = np.array([t[2] for t in trip], dtype=np.float64)
-        weights = sp.csr_matrix(
-            (np.concatenate([vals, vals]), (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
-            shape=(n, n),
-        )
-        graphs.append(BaseGraph(spec=spec, weights=weights, degrees=weights @ np.ones(n)))
+        graphs.append(_symmetric_graph(spec, n, rows, cols, vals))
     return GraphPool(graphs=tuple(graphs), fingerprint=doc["fingerprint"], dim=int(doc["d"]))

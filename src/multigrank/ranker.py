@@ -186,6 +186,10 @@ def grank_solve(L, u, y, alpha: float, ridge: float = 0.0,
 
 def combine_laplacians(graphs, mu: np.ndarray) -> sp.csr_matrix:
     """Convex combination of the graphs' Laplacians."""
+    if len(mu) != len(graphs):
+        raise ValueError(
+            f"model has {len(mu)} graph weights but the pool has {len(graphs)} graphs"
+        )
     L = mu[0] * graphs[0].laplacian()
     for weight, graph in zip(mu[1:], graphs[1:]):
         L = L + weight * graph.laplacian()
@@ -338,6 +342,7 @@ def save_model(model: RankModel, path) -> None:
         "beta": model.params.beta,
         "T": model.params.max_iters,
         "ridge": model.params.ridge,
+        "tol": model.params.tol,
         "pool_fingerprint": model.pool_fingerprint,
         "objective_trace": [float(v) for v in model.objective_trace],
     }
@@ -357,6 +362,7 @@ def load_model(path) -> RankModel:
         beta=float(doc["beta"]),
         max_iters=int(doc["T"]),
         ridge=float(doc["ridge"]),
+        tol=float(doc.get("tol", 0.0)),
     )
     return RankModel(
         weights=GraphWeights(np.array(doc["mu"], dtype=np.float64)),

@@ -107,7 +107,8 @@ class TestTrain:
         assert trace and all(a >= b - 1e-9 for a, b in zip(trace, trace[1:]))
         doc = json.loads(workspace["model"].read_text())
         assert set(doc) == {
-            "version", "mu", "alpha", "beta", "T", "ridge", "pool_fingerprint", "objective_trace",
+            "version", "mu", "alpha", "beta", "T", "ridge", "tol", "pool_fingerprint",
+            "objective_trace",
         }
         assert sum(doc["mu"]) == pytest.approx(1.0, abs=1e-10)
         assert doc["objective_trace"] == trace

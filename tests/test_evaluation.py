@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import dataset_from_arrays
 
+import multigrank
 from multigrank.dataset import generate_synthetic, relevance_matrix, split_queries
 from multigrank.evaluation import (
     auc,
@@ -151,6 +156,13 @@ class TestAuc:
         # one concordant pair, two ties, one discordant-free: (1 + 2*0.5)/4
         assert auc_from_scores(scores, mask) == 0.5
         assert auc_from_scores(scores, mask) == pair_count_auc(scores, mask)
+        # heavy ties: a few distinct levels over many items
+        rng = np.random.default_rng(9)
+        for levels in (1, 2, 3, 5):
+            scores = rng.integers(0, levels, size=40).astype(float)
+            mask = rng.random(40) < 0.4
+            mask[:2] = (True, False)
+            assert auc_from_scores(scores, mask) == pair_count_auc(scores, mask)
 
     def test_invariant_under_monotone_transform(self):
         rng = np.random.default_rng(4)
@@ -235,3 +247,10 @@ def test_curves_svg_emitter(tmp_path):
     assert text.count("<polyline") == 2 and "one" in text and "two" in text
     write_curves_svg([("one", pts), ("two", pts[::-1])], tmp_path / "again.svg", title="t", xlabel="x", ylabel="y")
     assert (tmp_path / "again.svg").read_bytes() == path.read_bytes()
+
+
+def test_import_skips_scipy_stats():
+    # scipy.stats alone costs most of a CLI call's start-up time
+    code = "import sys, multigrank; sys.exit('scipy.stats' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(multigrank.__file__).parents[1]))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

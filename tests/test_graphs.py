@@ -55,6 +55,14 @@ def neighbors_oracle(X, scheme, k):
     return out
 
 
+def outcome(call):
+    """The call's result, or the message of the ValueError it raised."""
+    try:
+        return call()
+    except ValueError as exc:
+        return str(exc)
+
+
 class TestKnn:
     def test_collinear_points(self):
         ds = dataset_from_arrays([[0.0], [1.0], [10.0]])
@@ -72,9 +80,10 @@ class TestKnn:
     def test_matches_exhaustive_scan(self, scheme):
         rng = np.random.default_rng(7)
         X = rng.uniform(0.1, 1.0, size=(10, 4))
-        ds = dataset_from_arrays(X)
-        nbrs = knn_neighbors(ds, spec_for(scheme, 3))
-        assert nbrs.tolist() == neighbors_oracle(X, scheme, 3)
+        # second input repeats rows, so ties must resolve to the lowest index
+        for points in (X, X[[0, 1, 0, 2, 1, 0, 3, 4, 2, 5]]):
+            nbrs = knn_neighbors(dataset_from_arrays(points), spec_for(scheme, 3))
+            assert nbrs.tolist() == neighbors_oracle(points, scheme, 3)
 
     def test_k_out_of_range(self):
         ds = dataset_from_arrays(np.eye(3))
@@ -120,6 +129,36 @@ class TestEdgeWeight:
         x_j = np.array(data.draw(vec))
         spec = spec_for(scheme, 1)
         assert edge_weight(x_i, x_j, spec) == edge_weight(x_j, x_i, spec)
+
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @given(data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_broadcast_forms_match_scalar_calls(self, scheme, data):
+        dim = data.draw(st.integers(1, 12))
+        n = data.draw(st.integers(1, 5))
+        entry = st.one_of(st.just(0.0), st.floats(-1.0, 10.0))
+        matrix = st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=n, max_size=n)
+        A = np.array(data.draw(matrix))
+        B = np.array(data.draw(matrix))
+        x = A[0]
+        spec = spec_for(scheme, 1)
+        forms = [
+            (lambda: edge_weight(x, B, spec), [(x, b) for b in B]),
+            (lambda: edge_weight(A, B, spec), list(zip(A, B))),
+        ]
+        for form, pairs in forms:
+            scalar = [outcome(lambda p=p: edge_weight(*p, spec)) for p in pairs]
+            errors = {r for r in scalar if isinstance(r, str)}
+            got = outcome(form)
+            if errors:
+                # zero vectors (cosine) or negative features (jaccard)
+                assert {got} == errors
+            else:
+                assert got.tobytes() == np.array(scalar).tobytes()
+        mismatch = outcome(lambda: edge_weight(x, np.ones(dim + 1), spec))
+        assert outcome(lambda: edge_weight(x, np.ones((n, dim + 1)), spec)) == mismatch
+        assert outcome(lambda: edge_weight(A, np.ones((n, dim + 1)), spec)) == mismatch
 
 
 class TestGraphSpec:

@@ -309,6 +309,13 @@ class TestRankOnline:
         with pytest.raises(ValueError, match="fingerprint"):
             rank_online(model, pool, other, other.records[0].features)
 
+    def test_graph_count_mismatch_rejected(self):
+        specs = [GraphSpec("gaussian", 2, 1.5), GraphSpec("cosine", 2), GraphSpec("tanimoto", 2)]
+        ds, pool = small_pool(m_specs=specs)
+        model = RankModel(GraphWeights(np.array([0.5, 0.5])), HyperParams(), pool.fingerprint, [])
+        with pytest.raises(ValueError, match="2 graph weights but the pool has 3 graphs"):
+            rank_online(model, pool, ds, ds.records[0].features)
+
     def test_grank_online_single_graph(self):
         ds, pool = small_pool()
         params = HyperParams()
@@ -368,7 +375,7 @@ def test_write_ranked_tsv(tmp_path):
 
 def test_model_round_trip(tmp_path):
     ds, pool = small_pool()
-    model = train_offline(pool, relevance_matrix(ds, 1), HyperParams(max_iters=3))
+    model = train_offline(pool, relevance_matrix(ds, 1), HyperParams(max_iters=3, tol=1e-3))
     path = tmp_path / "model.json"
     save_model(model, path)
     back = load_model(path)
@@ -378,6 +385,7 @@ def test_model_round_trip(tmp_path):
         beta=model.params.beta,
         max_iters=model.params.max_iters,
         ridge=model.params.ridge,
+        tol=1e-3,
     )
     assert back.pool_fingerprint == model.pool_fingerprint
     assert back.objective_trace == model.objective_trace
