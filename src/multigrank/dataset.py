@@ -84,11 +84,22 @@ class Dataset:
 
 @dataclass(eq=False)
 class RelevanceMatrix:
-    """Binary N x N matrix: entry (i, q) is 1 iff records i and q share a label
-    prefix of the given depth.  Symmetric with unit diagonal by construction."""
+    """Label agreement at one depth, stored as one integer group id per record.
 
-    entries: np.ndarray
+    Records i and q are relevant to each other iff ``gid[i] == gid[q]``; groups
+    are numbered 0..C-1 in order of first appearance.  The binary N x N matrix
+    this stands for is ``Z[:, gid]`` with ``Z`` the N x C class indicator, so it
+    holds only C distinct columns and is kept in O(N) memory.
+    """
+
+    gid: np.ndarray
     level: int
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense N x N binary matrix (symmetric, unit diagonal), built on
+        each access; O(N^2) memory."""
+        return (self.gid[:, None] == self.gid[None, :]).astype(np.float64)
 
 
 def _parse_features(values, row: int) -> np.ndarray:
@@ -195,9 +206,9 @@ def relevance_matrix(ds: Dataset, level: int) -> RelevanceMatrix:
         raise ValueError("level must be >= 1")
     prefixes = [rec.label_prefix(level) for rec in ds.records]
     codes: dict[tuple[str, ...], int] = {}
-    gid = np.array([codes.setdefault(p, len(codes)) for p in prefixes])
-    entries = (gid[:, None] == gid[None, :]).astype(np.float64)
-    return RelevanceMatrix(entries=entries, level=level)
+    gid = np.array([codes.setdefault(p, len(codes)) for p in prefixes], dtype=np.int64)
+    gid.setflags(write=False)
+    return RelevanceMatrix(gid=gid, level=level)
 
 
 def generate_synthetic(

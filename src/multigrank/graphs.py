@@ -283,6 +283,26 @@ def save_pool(pool: GraphPool, path) -> None:
         fh.write("\n")
 
 
+def _check_triplets(index: int, n: int, trip, rows, cols, vals) -> None:
+    """Reject weight triplets that do not describe a simple weighted graph."""
+
+    def fail(at, need):
+        raise ValueError(f"pool file corrupt: graph {index} triplet {trip[at]!r}: {need}")
+
+    bad = np.flatnonzero(~(np.isfinite(vals) & (vals >= 0)))
+    if bad.size:
+        fail(bad[0], "weight must be finite and >= 0")
+    whole = (rows % 1 == 0) & (cols % 1 == 0)
+    bad = np.flatnonzero(~(whole & (rows >= 0) & (rows < cols) & (cols < n)))
+    if bad.size:
+        fail(bad[0], f"indices must be integers with 0 <= i < j < N={n}")
+    keys = rows * n + cols
+    order = np.argsort(keys, kind="stable")
+    repeat = np.flatnonzero(keys[order][1:] == keys[order][:-1])
+    if repeat.size:
+        fail(order[repeat[0] + 1], "edge (i, j) stored more than once")
+
+
 def load_pool(path) -> GraphPool:
     """Inverse of save_pool."""
     with open(path, encoding="utf-8") as fh:
@@ -290,8 +310,12 @@ def load_pool(path) -> GraphPool:
     if doc.get("version") != 1:
         raise ValueError(f"unsupported pool file version: {doc.get('version')!r}")
     n = int(doc["N"])
+    if doc.get("M") != len(doc["graphs"]):
+        raise ValueError(
+            f"pool file corrupt: header M={doc.get('M')!r} but {len(doc['graphs'])} graphs stored"
+        )
     graphs = []
-    for entry in doc["graphs"]:
+    for index, entry in enumerate(doc["graphs"]):
         spec = GraphSpec(
             scheme=entry["spec"]["scheme"],
             k=int(entry["spec"]["k"]),
@@ -300,8 +324,9 @@ def load_pool(path) -> GraphPool:
         trip = entry["triplets"]
         if len(trip) != entry["nnz"]:
             raise ValueError("pool file corrupt: triplet count differs from nnz")
-        rows = np.array([t[0] for t in trip], dtype=int)
-        cols = np.array([t[1] for t in trip], dtype=int)
+        rows = np.array([t[0] for t in trip], dtype=np.float64)
+        cols = np.array([t[1] for t in trip], dtype=np.float64)
         vals = np.array([t[2] for t in trip], dtype=np.float64)
-        graphs.append(_symmetric_graph(spec, n, rows, cols, vals))
+        _check_triplets(index, n, trip, rows, cols, vals)
+        graphs.append(_symmetric_graph(spec, n, rows.astype(int), cols.astype(int), vals))
     return GraphPool(graphs=tuple(graphs), fingerprint=doc["fingerprint"], dim=int(doc["d"]))

@@ -11,6 +11,7 @@ extended Laplacians with the learned mu, and solve
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +48,9 @@ class HyperParams:
     tol: float = 0.0
 
     def __post_init__(self):
+        for name in ("alpha", "beta", "ridge", "tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.alpha > 0:
             raise ValueError("alpha must be > 0")
         if not self.beta > 0:
@@ -196,8 +200,20 @@ def combine_laplacians(graphs, mu: np.ndarray) -> sp.csr_matrix:
     return L.tocsr()
 
 
-def _relevance_entries(Y) -> np.ndarray:
-    return Y.entries if isinstance(Y, RelevanceMatrix) else np.asarray(Y, dtype=np.float64)
+def _relevance_columns(Y):
+    """Distinct relevance columns ``Z``, the column of ``Z`` behind each column
+    of ``Y`` (``gid``), and how many columns of ``Y`` share each one.
+
+    A RelevanceMatrix stands for ``Z[:, gid]`` with ``Z`` its N x C one-hot class
+    indicator.  A plain array is its own ``Z``, each column its own group.
+    """
+    if isinstance(Y, RelevanceMatrix):
+        gid = Y.gid
+        Z = (gid[:, None] == np.arange(gid.max() + 1)).astype(np.float64)
+    else:
+        Z = np.asarray(Y, dtype=np.float64)
+        gid = np.arange(Z.shape[-1])
+    return Z, gid, np.bincount(gid)
 
 
 def offline_f_update(pool: GraphPool, mu: GraphWeights, Y, alpha: float,
@@ -205,11 +221,13 @@ def offline_f_update(pool: GraphPool, mu: GraphWeights, Y, alpha: float,
     """Exact score-matrix update: solve (I + alpha sum_m mu_m L_m) F = Y.
 
     The system matrix is identity plus a PSD term, hence always nonsingular.
+    Only the distinct columns of ``Y`` are solved for; the result has one
+    column per column of ``Y``.
     """
-    entries = _relevance_entries(Y)
+    Z, gid, _ = _relevance_columns(Y)
     L = combine_laplacians(pool.graphs, mu.mu)
     A = (sp.identity(L.shape[0], format="csr") + alpha * L).tocsr()
-    return _solve_spd(A, entries, dense_limit)
+    return _solve_spd(A, Z, dense_limit)[..., gid]
 
 
 def smoothness_terms(pool: GraphPool, F: np.ndarray) -> np.ndarray:
@@ -237,9 +255,12 @@ def mu_update(pool: GraphPool, F: np.ndarray, alpha: float, beta: float) -> Grap
 
 def offline_objective(pool: GraphPool, F: np.ndarray, Y, mu: GraphWeights,
                       alpha: float, beta: float) -> float:
-    """Joint objective: squared relevance misfit + weighted roughness + ||mu||^2 term."""
-    entries = _relevance_entries(Y)
-    resid = F - entries
+    """Joint objective: squared relevance misfit + weighted roughness + ||mu||^2 term.
+
+    ``F`` has one column per column of ``Y``, as offline_f_update returns it.
+    """
+    Z, gid, _ = _relevance_columns(Y)
+    resid = F - Z[..., gid]
     return float(
         np.sum(resid * resid)
         + alpha * (smoothness_terms(pool, F) @ mu.mu)
@@ -255,18 +276,24 @@ def train_offline(pool: GraphPool, Y, params: HyperParams) -> RankModel:
     full pair.  Both half-steps are exact minimizers, so the trace is
     non-increasing.  When ``params.tol`` > 0, stops early once the objective
     decrease falls below it.
+
+    Columns of ``Y`` in one relevance group share one score column, so only
+    the C distinct columns ``G`` are solved for, and each group's terms are
+    weighted by its size n_c: ``e_m = sum_c n_c g_c' L_m g_c`` and
+    ``||F - Y||^2 = sum_c n_c ||g_c - z_c||^2``.
     """
-    entries = _relevance_entries(Y)
-    if entries.shape[0] != pool.n:
+    Z, _, counts = _relevance_columns(Y)
+    if Z.shape[0] != pool.n:
         raise ValueError("relevance matrix and pool have different sizes")
+    scale = np.sqrt(counts)
     m = pool.m
     mu = GraphWeights(np.full(m, 1.0 / m))
     trace: list[float] = []
     for _ in range(params.max_iters):
-        F = offline_f_update(pool, mu, entries, params.alpha)
-        e = smoothness_terms(pool, F)
+        G = offline_f_update(pool, mu, Z, params.alpha)
+        e = smoothness_terms(pool, G * scale)
         mu = minimize_weights(e, params.alpha, params.beta)
-        resid = F - entries
+        resid = (G - Z) * scale
         obj = float(
             np.sum(resid * resid) + params.alpha * (e @ mu.mu) + params.beta * (mu.mu @ mu.mu)
         )

@@ -221,6 +221,29 @@ class TestExitCodes:
         assert "ridge" in capsys.readouterr().err
 
 
+    def test_non_finite_hyperparameter_exit_code(self, tmp_path, workspace, capsys):
+        model = tmp_path / "model.json"
+        rc = cli.main([
+            "train", "--out", str(tmp_path), "--dataset", str(workspace["db"]),
+            "--pool", str(workspace["pool"]), "--model", str(model), "--ridge", "nan",
+        ])
+        assert rc == 1
+        assert "ridge must be finite" in capsys.readouterr().err
+        assert not model.exists()
+
+    def test_corrupt_pool_exit_code(self, tmp_path, workspace, capsys):
+        doc = json.loads(workspace["pool"].read_text())
+        doc["graphs"][0]["triplets"][0][2] = -1.0
+        bad = tmp_path / "bad_pool.json"
+        bad.write_text(json.dumps(doc))
+        common = ["--dataset", str(workspace["db"]), "--pool", str(bad),
+                  "--model", str(workspace["model"])]
+        for cmd in (["train"], ["rank", "--queries", str(workspace["queries"])]):
+            rc = cli.main(cmd + ["--out", str(tmp_path / cmd[0])] + common)
+            assert rc == 1
+            assert "graph 0 triplet" in capsys.readouterr().err
+
+
 class TestConfigFile:
     def test_config_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"

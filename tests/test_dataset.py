@@ -135,6 +135,16 @@ class TestRelevance:
             assert np.array_equal(np.diag(rel.entries), np.ones(n))
 
 
+    def test_stored_as_group_ids(self):
+        # O(N) storage: one group id per record, no N x N array
+        n = 500
+        ds = dataset_from_arrays(np.zeros((n, 1)), [f"c{i % 7}" for i in range(n)])
+        rel = relevance_matrix(ds, 1)
+        arrays = [v for v in vars(rel).values() if hasattr(v, "nbytes")]
+        assert sum(v.nbytes for v in arrays) <= 8 * n
+        assert np.array_equal(rel.gid[:8], [0, 1, 2, 3, 4, 5, 6, 0])
+
+
 class TestSynthetic:
     def test_shape_and_blobs(self):
         ds = generate_synthetic(2, 5, 3, 1.0, 10.0, 42)

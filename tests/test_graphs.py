@@ -277,6 +277,66 @@ class TestPool:
             assert all(i < j for i, j, _ in entry["triplets"])
 
 
+def _corrupt_negative_weight(doc):
+    doc["graphs"][0]["triplets"][0][2] = -0.5
+
+
+def _corrupt_nan_weight(doc):
+    doc["graphs"][1]["triplets"][2][2] = float("nan")
+
+
+def _corrupt_self_loop(doc):
+    doc["graphs"][0]["triplets"][1][1] = doc["graphs"][0]["triplets"][1][0]
+
+
+def _corrupt_lower_triangle(doc):
+    i, j, _ = doc["graphs"][1]["triplets"][0]
+    doc["graphs"][1]["triplets"][0][:2] = [j, i]
+
+
+def _corrupt_index_past_n(doc):
+    doc["graphs"][0]["triplets"][-1][1] = doc["N"]
+
+
+def _corrupt_fractional_index(doc):
+    doc["graphs"][1]["triplets"][3][0] += 0.5
+
+
+def _corrupt_duplicate_edge(doc):
+    trip = doc["graphs"][0]["triplets"]
+    trip[-1] = list(trip[0])
+
+
+def _corrupt_graph_count(doc):
+    doc["M"] = 99
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_corrupt_negative_weight, r"graph 0 triplet .*-0\.5.*finite and >= 0"),
+        (_corrupt_nan_weight, r"graph 1 triplet .*nan.*finite and >= 0"),
+        (_corrupt_self_loop, r"graph 0 triplet .*0 <= i < j < N"),
+        (_corrupt_lower_triangle, r"graph 1 triplet .*0 <= i < j < N"),
+        (_corrupt_index_past_n, r"graph 0 triplet .*0 <= i < j < N=10"),
+        (_corrupt_fractional_index, r"graph 1 triplet .*\.5, .*must be integers"),
+        (_corrupt_duplicate_edge, r"graph 0 triplet .*more than once"),
+        (_corrupt_graph_count, r"header M=99 but 2 graphs"),
+    ],
+)
+def test_load_pool_rejects_corrupt_file(tmp_path, corrupt, message):
+    import json
+
+    ds = generate_synthetic(2, 5, 3, 1.0, 4.0, 0)
+    path = tmp_path / "pool.json"
+    save_pool(build_pool(ds, [spec_for("gaussian", 2), spec_for("cosine", 3)]), path)
+    doc = json.loads(path.read_text())
+    corrupt(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=message):
+        load_pool(path)
+
+
 class TestExtend:
     def _setup(self):
         ds = generate_synthetic(2, 6, 3, 1.0, 8.0, 5)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import dataset_from_arrays
@@ -8,10 +8,11 @@ from helpers import dataset_from_arrays
 from multigrank.dataset import (
     Dataset,
     DomainRecord,
+    RelevanceMatrix,
     generate_synthetic,
     relevance_matrix,
 )
-from multigrank.graphs import GraphPool, GraphSpec, build_graph, build_pool
+from multigrank.graphs import SCHEMES, GraphPool, GraphSpec, build_graph, build_pool
 from multigrank.ranker import (
     GraphWeights,
     HyperParams,
@@ -244,6 +245,73 @@ class TestTrainOffline:
         assert len(stopped.objective_trace) <= 6
 
 
+def reference_train(pool, Y, params):
+    """The N-column training loop: solve, smooth and score every column of Y."""
+    mu = GraphWeights(np.full(pool.m, 1.0 / pool.m))
+    trace = []
+    for _ in range(params.max_iters):
+        F = offline_f_update(pool, mu, Y, params.alpha)
+        e = smoothness_terms(pool, F)
+        mu = minimize_weights(e, params.alpha, params.beta)
+        resid = F - Y
+        trace.append(float(
+            np.sum(resid * resid) + params.alpha * (e @ mu.mu) + params.beta * (mu.mu @ mu.mu)
+        ))
+    return mu, trace
+
+
+class TestCollapsedTraining:
+    """Training on the C distinct relevance columns equals training on all N."""
+
+    @given(
+        labels=st.lists(st.integers(0, 4), min_size=4, max_size=12),
+        seed=st.integers(0, 2**16),
+        alpha=st.floats(0.1, 3.0),
+        beta=st.floats(0.1, 3.0),
+        m=st.integers(2, 3),
+    )
+    @example(labels=[0] * 6, seed=0, alpha=1.0, beta=1.0, m=2)
+    @example(labels=list(range(7)), seed=1, alpha=0.5, beta=2.0, m=3)
+    @example(labels=[0, 0, 1, 0, 2, 2, 0, 0], seed=2, alpha=2.0, beta=0.3, m=3)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_n_column_reference(self, labels, seed, alpha, beta, m):
+        rng = np.random.default_rng(seed)
+        n = len(labels)
+        ds = dataset_from_arrays(rng.uniform(0.05, 1.0, size=(n, 3)), [f"g{c}" for c in labels])
+        specs = [
+            GraphSpec(s, int(rng.integers(1, n)), 0.8 if s == "gaussian" else None)
+            for s in rng.choice(SCHEMES, size=m)
+        ]
+        pool = build_pool(ds, specs)
+        Y = relevance_matrix(ds, 1)
+        params = HyperParams(alpha=alpha, beta=beta, max_iters=4)
+
+        model = train_offline(pool, Y, params)
+        mu, trace = reference_train(pool, Y.entries, params)
+        assert len(model.objective_trace) == len(trace)
+        assert np.allclose(model.objective_trace, trace, rtol=1e-12, atol=0.0)
+        assert np.abs(model.weights.mu - mu.mu).max() <= 1e-12
+
+        F = offline_f_update(pool, model.weights, Y, alpha)
+        A = np.eye(n) + alpha * sum(
+            w * g.laplacian().toarray() for w, g in zip(model.weights.mu, pool.graphs)
+        )
+        oracle = np.linalg.inv(A) @ Y.entries
+        assert F.shape == (n, n)
+        assert np.linalg.norm(F - oracle) / np.linalg.norm(oracle) <= 1e-8
+
+    def test_training_never_builds_dense_relevance(self, monkeypatch):
+        ds, pool = small_pool(n_classes=3)
+        Y = relevance_matrix(ds, 1)
+
+        def refuse(self):
+            raise AssertionError("dense N x N relevance matrix requested")
+
+        monkeypatch.setattr(RelevanceMatrix, "entries", property(refuse))
+        model = train_offline(pool, Y, HyperParams(max_iters=3))
+        offline_f_update(pool, model.weights, Y, alpha=1.0)
+
+
 class TestRankOnline:
     def test_duplicate_query_top_class(self):
         ds, pool = small_pool(seed=7, per_class=8)
@@ -401,6 +469,13 @@ def test_hyperparams_validation():
     ):
         with pytest.raises(ValueError):
             HyperParams(**bad)
+
+
+@pytest.mark.parametrize("field", ["alpha", "beta", "ridge", "tol"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_hyperparams_reject_non_finite(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        HyperParams(**{field: value})
 
 
 def test_graph_weights_validation():
