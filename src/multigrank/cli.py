@@ -12,6 +12,8 @@ import dataclasses
 import json
 import re
 import sys
+import types
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -57,6 +59,8 @@ class RunConfig:
 
 
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
+_CONFIG_TYPES = typing.get_type_hints(RunConfig)
+_CONFIG_TYPE_NAMES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 _SEQUENCE_FIELDS = ("schemes", "k_values", "sigma_multipliers")
 
 
@@ -278,15 +282,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _conforms(value, hint) -> bool:
+    """Whether a JSON config value fits a RunConfig field type (an int is a
+    float; a list is a tuple; a bool is neither an int nor a float)."""
+    if typing.get_origin(hint) in (types.UnionType, typing.Union):
+        return any(_conforms(value, h) for h in typing.get_args(hint))
+    if typing.get_origin(hint) is tuple:
+        item = typing.get_args(hint)[0]
+        return isinstance(value, (list, tuple)) and all(_conforms(v, item) for v in value)
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
+
+
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     raw = vars(args)
     if raw.get("config"):
         with open(raw["config"], encoding="utf-8") as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError("config file must hold a JSON object")
         unknown = sorted(set(doc) - _CONFIG_FIELDS)
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        for key, value in doc.items():
+            if not _conforms(value, _CONFIG_TYPES[key]):
+                raise ValueError(
+                    f"config key {key!r}: expected {_CONFIG_TYPE_NAMES[key]}, "
+                    f"got {json.dumps(value)}"
+                )
         cfg = dataclasses.replace(cfg, **doc)
     overrides = {k: v for k, v in raw.items() if k in _CONFIG_FIELDS and v is not None}
     cfg = dataclasses.replace(cfg, **overrides)

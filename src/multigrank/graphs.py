@@ -132,12 +132,33 @@ def edge_weight(x_i, x_j, spec: GraphSpec):
     return float(w) if np.ndim(w) == 0 else w
 
 
+def _measure(spec: GraphSpec) -> str:
+    """Name of the spec's neighbor-selection measure; specs that share it
+    select the same neighbors at equal k, whatever their sigma."""
+    return "sq_distance" if spec.scheme in ("gaussian", "dot_product") else spec.scheme
+
+
 def _closeness(a, b, spec: GraphSpec) -> np.ndarray:
     """Neighbor-selection measure, larger means closer: the edge weight, except
     negative squared distance for gaussian (same order) and dot_product."""
-    if spec.scheme in ("gaussian", "dot_product"):
+    if _measure(spec) == "sq_distance":
         return -_sq_dist(a, b)
     return edge_weight(a, b, spec)
+
+
+def _first_k(keys: np.ndarray, k: int) -> np.ndarray:
+    """Columns of the k smallest keys in each row, ordered by (key, column).
+
+    Equal to the first k columns of a stable argsort, ties included, without
+    sorting whole rows: only the candidates up to each row's k-th value are
+    sorted.  NaN keys sort last, as in argsort.
+    """
+    kth = np.partition(keys, k - 1, axis=1)[:, k - 1 : k]
+    rows, cols = np.nonzero(~(keys > kth))
+    # cols ascend within each row, and lexsort is stable: (row, key, column)
+    order = np.lexsort((keys[rows, cols], rows))
+    starts = np.searchsorted(rows, np.arange(keys.shape[0]))
+    return cols[order][starts[:, None] + np.arange(k)]
 
 
 def _symmetric_graph(spec: GraphSpec, n: int, rows, cols, vals) -> BaseGraph:
@@ -153,7 +174,8 @@ def knn_neighbors(ds: Dataset, spec: GraphSpec) -> np.ndarray:
     """Indices of each node's k nearest neighbors under the spec's measure.
 
     Returns an (N, k) array, closest first, self excluded, ties broken by
-    lower node index.  Rows are scored in blocks; no N x N array is formed.
+    lower node index, so the first k' < k columns are the answer for k'.
+    Rows are scored in blocks; no N x N array is formed.
     """
     X = ds.feature_matrix
     n, d = X.shape
@@ -165,17 +187,26 @@ def knn_neighbors(ds: Dataset, spec: GraphSpec) -> np.ndarray:
         rows = np.arange(start, min(start + step, n))
         closeness = _closeness(X[rows, None, :], X[None, :, :], spec)
         closeness[rows - start, rows] = -np.inf
-        out[rows] = np.argsort(-closeness, axis=1, kind="stable")[:, : spec.k]
+        out[rows] = _first_k(-closeness, spec.k)
     return out
 
 
-def build_graph(ds: Dataset, spec: GraphSpec) -> BaseGraph:
-    """Realize a spec against a dataset: union-symmetrized kNN weight matrix."""
+def build_graph(ds: Dataset, spec: GraphSpec, neighbors=None) -> BaseGraph:
+    """Realize a spec against a dataset: union-symmetrized kNN weight matrix.
+
+    ``neighbors`` is the spec's (N, k) neighbor array when already selected,
+    as ``build_pool`` does; by default it comes from ``knn_neighbors``.
+    """
     X = ds.feature_matrix
     n = X.shape[0]
-    nbrs = knn_neighbors(ds, spec)
+    if neighbors is None:
+        neighbors = knn_neighbors(ds, spec)
+    elif np.shape(neighbors) != (n, spec.k):
+        raise ValueError(
+            f"neighbors have shape {np.shape(neighbors)}, expected {(n, spec.k)}"
+        )
     rows = np.repeat(np.arange(n), spec.k)
-    cols = nbrs.ravel()
+    cols = np.ravel(neighbors)
     # each union edge once, as i < j: weighing it once keeps W exactly symmetric
     i, j = np.divmod(np.unique(np.minimum(rows, cols) * n + np.maximum(rows, cols)), n)
     vals = np.maximum(edge_weight(X[i], X[j], spec), 0.0)
@@ -183,12 +214,27 @@ def build_graph(ds: Dataset, spec: GraphSpec) -> BaseGraph:
 
 
 def build_pool(ds: Dataset, specs) -> GraphPool:
-    """Build all candidate graphs, in spec order, bound to the dataset."""
+    """Build all candidate graphs, in spec order, bound to the dataset.
+
+    Neighbors are selected once per selection measure, at the largest k any
+    spec of that measure asks for; each spec takes its first k columns.
+    """
     specs = list(specs)
     if not specs:
         raise ValueError("cannot build a pool from an empty spec list")
-    graphs = tuple(build_graph(ds, spec) for spec in specs)
-    return GraphPool(graphs=graphs, fingerprint=dataset_fingerprint(ds), dim=ds.dim)
+    widest = {}
+    for spec in specs:
+        measure = _measure(spec)
+        if measure not in widest or spec.k > widest[measure].k:
+            widest[measure] = spec
+    selected = {}
+    graphs = []
+    for spec in specs:
+        measure = _measure(spec)
+        if measure not in selected:
+            selected[measure] = knn_neighbors(ds, widest[measure])
+        graphs.append(build_graph(ds, spec, selected[measure][:, : spec.k]))
+    return GraphPool(graphs=tuple(graphs), fingerprint=dataset_fingerprint(ds), dim=ds.dim)
 
 
 def extend_graph(graph: BaseGraph, ds: Dataset, x0) -> BaseGraph:
@@ -206,8 +252,8 @@ def extend_graph(graph: BaseGraph, ds: Dataset, x0) -> BaseGraph:
         )
     if graph.n != X.shape[0]:
         raise ValueError("graph and dataset have different node counts")
-    closeness = _closeness(x0, X, graph.spec)
-    nbrs = np.argsort(-closeness, kind="stable")[: graph.spec.k]
+    k = min(graph.spec.k, X.shape[0])  # a loaded pool's k is not checked against N
+    nbrs = _first_k(-_closeness(x0, X, graph.spec)[None, :], k)[0]
     w = np.maximum(edge_weight(x0, X[nbrs], graph.spec), 0.0)
     base = graph.weights.tocoo()
     n1 = graph.n + 1
@@ -283,6 +329,23 @@ def save_pool(pool: GraphPool, path) -> None:
         fh.write("\n")
 
 
+def _triplet_array(index: int, trip) -> np.ndarray:
+    """(nnz, 3) float array of the stored [i, j, weight] triplets."""
+    try:
+        return np.array(trip, dtype=np.float64).reshape(len(trip), 3)
+    except (TypeError, ValueError):
+        for t in trip:
+            try:
+                ok = np.shape(np.array(t, dtype=np.float64)) == (3,)
+            except (TypeError, ValueError):
+                ok = False
+            if not ok:
+                raise ValueError(
+                    f"pool file corrupt: graph {index} triplet {t!r}: expected [i, j, weight]"
+                ) from None
+        raise
+
+
 def _check_triplets(index: int, n: int, trip, rows, cols, vals) -> None:
     """Reject weight triplets that do not describe a simple weighted graph."""
 
@@ -324,9 +387,7 @@ def load_pool(path) -> GraphPool:
         trip = entry["triplets"]
         if len(trip) != entry["nnz"]:
             raise ValueError("pool file corrupt: triplet count differs from nnz")
-        rows = np.array([t[0] for t in trip], dtype=np.float64)
-        cols = np.array([t[1] for t in trip], dtype=np.float64)
-        vals = np.array([t[2] for t in trip], dtype=np.float64)
+        rows, cols, vals = _triplet_array(index, trip).T
         _check_triplets(index, n, trip, rows, cols, vals)
         graphs.append(_symmetric_graph(spec, n, rows.astype(int), cols.astype(int), vals))
     return GraphPool(graphs=tuple(graphs), fingerprint=doc["fingerprint"], dim=int(doc["d"]))

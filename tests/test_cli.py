@@ -261,3 +261,36 @@ class TestConfigFile:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"classses": 2}))
         assert cli.main(["gen", "--config", str(cfg), "--out", str(tmp_path / "g")]) == 1
+
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ({"alpha": "1"}, "alpha"),
+            ({"iters": 2.5}, "iters"),
+            ({"ridge": True}, "ridge"),
+            ({"k_values": [3, "5"]}, "k_values"),
+            ({"pool": 7}, "pool"),
+        ],
+    )
+    def test_mistyped_config_value(self, tmp_path, workspace, capsys, doc, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        model = tmp_path / "model.json"
+        rc = cli.main([
+            "train", "--config", str(cfg), "--out", str(tmp_path), "--dataset",
+            str(workspace["db"]), "--pool", str(workspace["pool"]), "--model", str(model),
+        ])
+        assert rc == 1
+        assert f"error: config key {key!r}: expected" in capsys.readouterr().err
+        assert not model.exists()
+
+    def test_config_accepts_int_for_float_and_list_for_tuple(self, tmp_path, workspace):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha": 1, "iters": 2, "schemes": ["gaussian"]}))
+        rc = cli.main([
+            "train", "--config", str(cfg), "--out", str(tmp_path), "--dataset",
+            str(workspace["db"]), "--pool", str(workspace["pool"]),
+            "--model", str(tmp_path / "model.json"),
+        ])
+        assert rc == 0
+        assert load_model(tmp_path / "model.json").params.alpha == 1.0

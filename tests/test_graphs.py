@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -89,6 +90,26 @@ class TestKnn:
         ds = dataset_from_arrays(np.eye(3))
         with pytest.raises(ValueError, match="out of range"):
             knn_neighbors(ds, spec_for("gaussian", 3))
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_prefixes_match_exhaustive_scan_with_ties(self, data):
+        # few distinct small-integer rows, repeated: ties at the k-th value
+        # are common, and every prefix must still follow the index tie-break
+        dim = data.draw(st.integers(1, 3))
+        row = st.lists(st.integers(0, 3), min_size=dim, max_size=dim)
+        distinct = np.array(data.draw(st.lists(row, min_size=1, max_size=6)), dtype=float)
+        distinct[~distinct.any(axis=1), 0] = 1.0  # cosine rejects zero vectors
+        picks = data.draw(st.lists(st.integers(0, len(distinct) - 1), min_size=3, max_size=14))
+        X = distinct[picks]
+        n = len(X)
+        k_max = data.draw(st.integers(1, n - 1))
+        ds = dataset_from_arrays(X)
+        for scheme in SCHEMES:
+            nbrs = knn_neighbors(ds, spec_for(scheme, k_max))
+            oracle = neighbors_oracle(X, scheme, k_max)
+            for k in range(1, k_max + 1):
+                assert nbrs[:, :k].tolist() == [r[:k] for r in oracle]
 
 
 class TestEdgeWeight:
@@ -218,6 +239,16 @@ class TestBuildGraph:
             f = rng.normal(size=8)
             assert abs(f @ L @ f - quad_form_oracle(W, f)) <= 1e-10
 
+    def test_given_neighbors_must_match_spec(self):
+        ds = dataset_from_arrays(np.arange(8.0)[:, None])
+        spec = spec_for("gaussian", 3)
+        nbrs = knn_neighbors(ds, spec)
+        assert np.array_equal(
+            build_graph(ds, spec, nbrs).weights.toarray(), build_graph(ds, spec).weights.toarray()
+        )
+        with pytest.raises(ValueError, match="shape"):
+            build_graph(ds, spec, nbrs[:, :2])
+
     def test_nonnegative_quadratic_form(self):
         rng = np.random.default_rng(4)
         X = rng.uniform(0.1, 1.0, size=(12, 4))
@@ -251,6 +282,36 @@ class TestPool:
         ds = generate_synthetic(2, 4, 3, 1.0, 4.0, 0)
         with pytest.raises(ValueError, match="empty"):
             build_pool(ds, [])
+
+    @given(data=st.data())
+    @settings(max_examples=15, deadline=None)
+    def test_shared_selection_matches_per_spec_builds(self, data):
+        # build_pool selects once per measure at the largest k and slices;
+        # each graph must equal the one its spec builds alone
+        picks = data.draw(st.lists(st.integers(0, 5), min_size=8, max_size=16))
+        X = np.round(generate_synthetic(2, 3, 2, 1.0, 3.0, 0).feature_matrix)[picks] + 1.0
+        k_values = tuple(data.draw(st.lists(st.integers(1, len(X) - 1), min_size=1, max_size=3)))
+        ds = dataset_from_arrays(X)
+        specs = default_spec_grid(ds, SCHEMES, k_values, (0.5, 2.0))
+        pool = build_pool(ds, specs)
+        for spec, graph in zip(specs, pool.graphs):
+            alone = build_graph(ds, spec).weights
+            assert graph.spec == spec
+            assert (graph.weights != alone).nnz == 0
+            assert np.array_equal(graph.weights.indices, alone.indices)
+
+    def test_default_pool_bytes_golden(self, tmp_path):
+        # sha256 of the bytes written when every spec ran its own full stable
+        # argsort (numpy 2.4.6, x86-64); rows repeat and small-integer rows
+        # tie, so any change to the tie-break or the k slicing shows here
+        base = generate_synthetic(3, 8, 4, 1.0, 6.0, 0).feature_matrix
+        X = np.vstack([base, base[[0, 3, 3, 10, 17]], np.round(base[:8]) + 1.0])
+        ds = dataset_from_arrays(X, [f"c{i % 3}" for i in range(len(X))])
+        path = tmp_path / "pool.json"
+        save_pool(build_pool(ds, default_spec_grid(ds)), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "62297abdfa4860fa8830497cd90ff42f0169887ec2094c0bb78f0d1b7135283e"
+        )
 
     def test_round_trip(self, tmp_path):
         ds = generate_synthetic(3, 5, 4, 1.0, 6.0, 3)
@@ -311,6 +372,10 @@ def _corrupt_graph_count(doc):
     doc["M"] = 99
 
 
+def _corrupt_short_triplet(doc):
+    doc["graphs"][1]["triplets"][2] = doc["graphs"][1]["triplets"][2][:2]
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
@@ -322,6 +387,7 @@ def _corrupt_graph_count(doc):
         (_corrupt_fractional_index, r"graph 1 triplet .*\.5, .*must be integers"),
         (_corrupt_duplicate_edge, r"graph 0 triplet .*more than once"),
         (_corrupt_graph_count, r"header M=99 but 2 graphs"),
+        (_corrupt_short_triplet, r"graph 1 triplet \[\d+, \d+\]: expected \[i, j, weight\]"),
     ],
 )
 def test_load_pool_rejects_corrupt_file(tmp_path, corrupt, message):
@@ -374,6 +440,15 @@ class TestExtend:
         ds, g = self._setup()
         with pytest.raises(ValueError, match="dimension"):
             extend_graph(g, ds, np.ones(5))
+
+    def test_query_neighbors_break_ties_by_index(self):
+        # the query's three nearest points are copies of 3.0; the next four
+        # tie at 1.0, so k=5 takes their two lowest indices
+        X = np.array([[3.0], [1.0], [0.0], [1.0], [3.0], [1.0], [3.0], [1.0]])
+        ds = dataset_from_arrays(X)
+        g = build_graph(ds, spec_for("gaussian", 5, sigma=2.0))
+        ext = extend_graph(g, ds, np.array([2.4]))
+        assert sorted(ext.weights.getrow(0).indices - 1) == [0, 1, 3, 4, 6]
 
 
 def test_median_pairwise_distance_hand_case():
