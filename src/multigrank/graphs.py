@@ -252,8 +252,7 @@ def extend_graph(graph: BaseGraph, ds: Dataset, x0) -> BaseGraph:
         )
     if graph.n != X.shape[0]:
         raise ValueError("graph and dataset have different node counts")
-    k = min(graph.spec.k, X.shape[0])  # a loaded pool's k is not checked against N
-    nbrs = _first_k(-_closeness(x0, X, graph.spec)[None, :], k)[0]
+    nbrs = _first_k(-_closeness(x0, X, graph.spec)[None, :], graph.spec.k)[0]
     w = np.maximum(edge_weight(x0, X[nbrs], graph.spec), 0.0)
     base = graph.weights.tocoo()
     n1 = graph.n + 1
@@ -384,6 +383,10 @@ def load_pool(path) -> GraphPool:
             k=int(entry["spec"]["k"]),
             sigma=entry["spec"]["sigma"],
         )
+        if spec.k > n - 1:
+            raise ValueError(
+                f"pool file corrupt: graph {index} spec k={spec.k} exceeds N-1={n - 1}"
+            )
         trip = entry["triplets"]
         if len(trip) != entry["nnz"]:
             raise ValueError("pool file corrupt: triplet count differs from nnz")

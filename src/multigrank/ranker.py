@@ -5,7 +5,10 @@ Offline: alternate between the closed-form score solve
 quadratic update of the graph weights mu, recording the joint objective.
 Online: extend every pooled graph with the query as node 0, combine the
 extended Laplacians with the learned mu, and solve
-``(U + alpha L + ridge I) f = U y`` with U = diag(1, 0, ..., 0).
+``(U + alpha L + ridge I) f = U y`` with U = diag(1, 0, ..., 0).  The
+database block ``alpha L_db + ridge I`` of that system is the same for every
+query, so it is factored once per pool and weights, and each query is solved
+against the factor by a low-rank update on the rows its edges touch.
 """
 
 from __future__ import annotations
@@ -168,19 +171,71 @@ def _solve_spd(A, rhs, dense_limit: int = DENSE_SOLVE_LIMIT) -> np.ndarray:
     return x
 
 
+def _bordered_solve(L, y0: float, alpha: float, ridge: float, frozen):
+    """Solve (e0 e0' + alpha L + ridge I) f = y0 e0 from the frozen factor.
+
+    ``L`` is an extended Laplacian with the query as node 0 and ``frozen`` the
+    Cholesky factor of ``K = alpha L_db + ridge I``, where ``L_db`` is the
+    database block of ``L`` without the query's edges.  With w the query's
+    edge weights, the database block of the system is
+    ``B = K + alpha diag(w)``, an update of K on the rows T that w touches.
+    Woodbury gives ``B^-1 w = Q t`` with ``Q = K^-1 E_T``,
+    ``(diag(1 / (alpha w_T)) + Q[T]) t = 1 / alpha``, solved here in the
+    symmetric form scaled by ``sqrt(alpha w_T)``.  The query row then gives
+    f0, and ``f_db = alpha f0 B^-1 w``.
+
+    Returns None when the result is not finite or its relative residual
+    against the true system exceeds RESIDUAL_TOL.
+    """
+    L = sp.csr_matrix(L)
+    lo, hi = L.indptr[0], L.indptr[1]
+    row = np.bincount(L.indices[lo:hi], weights=L.data[lo:hi], minlength=L.shape[0])
+    T = np.flatnonzero(row[1:] < 0)
+    w_T = -row[1:][T]
+    a00 = 1.0 + alpha * row[0] + ridge
+    E = np.zeros((L.shape[0] - 1, T.size))
+    E[T, np.arange(T.size)] = 1.0
+    Q = scipy.linalg.cho_solve(frozen, E, check_finite=False)
+    sw = np.sqrt(alpha * w_T)
+    M = np.eye(T.size) + sw[:, None] * Q[T] * sw[None, :]
+    Bw = Q @ (sw * np.linalg.solve(M, sw / alpha))
+    f0 = y0 / (a00 - alpha * alpha * (w_T @ Bw[T]))
+    f = np.concatenate(([f0], alpha * f0 * Bw))
+    resid = alpha * (L @ f) + ridge * f
+    resid[0] += f0 - y0
+    scale = abs(y0) if y0 != 0 else 1.0
+    if not np.all(np.isfinite(f)) or np.linalg.norm(resid) > RESIDUAL_TOL * scale:
+        return None
+    return f
+
+
 def grank_solve(L, u, y, alpha: float, ridge: float = 0.0,
-                dense_limit: int = DENSE_SOLVE_LIMIT) -> np.ndarray:
+                dense_limit: int = DENSE_SOLVE_LIMIT, frozen=None) -> np.ndarray:
     """Single-graph regularized scores: solve (diag(u) + alpha L + ridge I) f = diag(u) y.
 
     ``u`` is the diagonal of the 0/1 selection matrix marking entries of ``y``
     that are known.  With ridge = 0 this is the exact closed form; a positive
     ridge keeps the system nonsingular when the graph is disconnected.
+
+    ``frozen`` is an optional Cholesky factor (as ``scipy.linalg.cho_factor``
+    returns it) of ``alpha L_db + ridge I``, with ``L_db`` the block of ``L``
+    past node 0 less the edges of node 0; it needs u = e0.  The system is then
+    solved by a low-rank update of that factor, and by the direct path if
+    that result fails the residual check.
     """
     u = np.asarray(u, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n = L.shape[0]
     if u.shape != (n,) or y.shape != (n,):
         raise ValueError("grank_solve: dimension mismatch between L, u, y")
+    if frozen is not None:
+        if u[0] != 1.0 or u[1:].any():
+            raise ValueError("grank_solve: a frozen factor needs u = e0")
+        if frozen[0].shape != (n - 1, n - 1):
+            raise ValueError("grank_solve: frozen factor does not match the database block")
+        f = _bordered_solve(L, float(y[0]), alpha, ridge, frozen)
+        if f is not None:
+            return f
     if sp.issparse(L):
         A = (alpha * L + sp.diags(u + ridge)).tocsr()
     else:
@@ -188,12 +243,16 @@ def grank_solve(L, u, y, alpha: float, ridge: float = 0.0,
     return _solve_spd(A, u * y, dense_limit)
 
 
-def combine_laplacians(graphs, mu: np.ndarray) -> sp.csr_matrix:
-    """Convex combination of the graphs' Laplacians."""
+def _check_weight_count(mu, graphs) -> None:
     if len(mu) != len(graphs):
         raise ValueError(
             f"model has {len(mu)} graph weights but the pool has {len(graphs)} graphs"
         )
+
+
+def combine_laplacians(graphs, mu: np.ndarray) -> sp.csr_matrix:
+    """Convex combination of the graphs' Laplacians."""
+    _check_weight_count(mu, graphs)
     L = mu[0] * graphs[0].laplacian()
     for weight, graph in zip(mu[1:], graphs[1:]):
         L = L + weight * graph.laplacian()
@@ -305,14 +364,47 @@ def train_offline(pool: GraphPool, Y, params: HyperParams) -> RankModel:
     )
 
 
-def _rank_extended(graphs, mu: np.ndarray, ds: Dataset, x0, alpha: float,
+def _frozen_factor(pool: GraphPool, active: np.ndarray, mu: np.ndarray,
+                   alpha: float, ridge: float):
+    """Cholesky factor of the frozen database block ``alpha L_db + ridge I``.
+
+    ``L_db`` combines the pool's graphs ``active`` with weights ``mu``.  The
+    pool holds one factor, for the last (active, mu, alpha, ridge) asked
+    for, and replaces it when they change.  None where the factored path does
+    not apply: ridge 0 (the block is singular, a Laplacian has the constant
+    vector in its null space), an extended system past DENSE_SOLVE_LIMIT
+    (solved by CG), or a block Cholesky cannot factor.
+    """
+    if not ridge > 0 or pool.n + 1 > DENSE_SOLVE_LIMIT:
+        return None
+    key = (active.tobytes(), mu.tobytes(), alpha, ridge)
+    cached = getattr(pool, "_online_factor", None)
+    if cached is not None and cached[0] == key:
+        return cached[1]
+    pool._online_factor = None  # drop the old factor before building the new one
+    K = combine_laplacians([pool.graphs[i] for i in active], mu).toarray(order="F")
+    K *= alpha
+    K[np.diag_indices_from(K)] += ridge
+    try:
+        factor = scipy.linalg.cho_factor(K, lower=True, overwrite_a=True, check_finite=False)
+    except scipy.linalg.LinAlgError:
+        factor = None
+    pool._online_factor = (key, factor)
+    return factor
+
+
+def _rank_extended(pool: GraphPool, mu: np.ndarray, ds: Dataset, x0, alpha: float,
                    ridge: float, query_id: str) -> RankedList:
-    extended = [extend_graph(g, ds, x0) for g in graphs]
-    L = combine_laplacians(extended, mu)
+    """Rank with the pool's graphs weighted by ``mu``; graphs of weight 0 are skipped."""
+    _check_weight_count(mu, pool.graphs)
+    active = np.flatnonzero(mu)
+    extended = [extend_graph(pool.graphs[i], ds, x0) for i in active]
+    L = combine_laplacians(extended, mu[active])
     n1 = L.shape[0]
     u = np.zeros(n1)
     u[0] = 1.0
-    f = grank_solve(L, u, u.copy(), alpha, ridge)
+    frozen = _frozen_factor(pool, active, mu[active], alpha, ridge)
+    f = grank_solve(L, u, u.copy(), alpha, ridge, frozen=frozen)
     return make_ranked(query_id, f[1:], ds.ids)
 
 
@@ -320,16 +412,17 @@ def rank_online(model: RankModel, pool: GraphPool, ds: Dataset, x0,
                 params: HyperParams | None = None, query_id: str = "query") -> RankedList:
     """Rank the database against a query under the trained multi-graph model.
 
-    Extends every pooled graph with the query as node 0, combines the extended
-    Laplacians with the learned weights, and solves the one-known-entry system.
+    Extends every pooled graph of nonzero weight with the query as node 0,
+    combines the extended Laplacians with the learned weights, and solves the
+    one-known-entry system.  For ridge > 0 the solve reuses a factor of the
+    frozen database block held on the pool (see ``grank_solve``).
     """
     params = params if params is not None else model.params
     if model.pool_fingerprint != pool.fingerprint:
         raise ValueError("model was trained against a different pool (fingerprint mismatch)")
     if pool.fingerprint != dataset_fingerprint(ds):
         raise ValueError("pool was built from a different dataset (fingerprint mismatch)")
-    return _rank_extended(pool.graphs, model.weights.mu, ds, x0, params.alpha,
-                          params.ridge, query_id)
+    return _rank_extended(pool, model.weights.mu, ds, x0, params.alpha, params.ridge, query_id)
 
 
 def grank_online(pool: GraphPool, graph_index: int, ds: Dataset, x0,
@@ -339,8 +432,9 @@ def grank_online(pool: GraphPool, graph_index: int, ds: Dataset, x0,
         raise ValueError(f"graph index {graph_index} out of range for pool of {pool.m}")
     if pool.fingerprint != dataset_fingerprint(ds):
         raise ValueError("pool was built from a different dataset (fingerprint mismatch)")
-    return _rank_extended([pool.graphs[graph_index]], np.ones(1), ds, x0,
-                          params.alpha, params.ridge, query_id)
+    mu = np.zeros(pool.m)
+    mu[graph_index] = 1.0
+    return _rank_extended(pool, mu, ds, x0, params.alpha, params.ridge, query_id)
 
 
 def rank_pairwise_baseline(ds: Dataset, x0, query_id: str = "query") -> RankedList:

@@ -243,6 +243,20 @@ class TestExitCodes:
             assert rc == 1
             assert "graph 0 triplet" in capsys.readouterr().err
 
+    def test_pool_k_past_n_exit_code(self, tmp_path, workspace, capsys):
+        doc = json.loads(workspace["pool"].read_text())
+        doc["graphs"][0]["spec"]["k"] = doc["N"]
+        bad = tmp_path / "bad_pool.json"
+        bad.write_text(json.dumps(doc))
+        rc = cli.main([
+            "rank", "--out", str(tmp_path / "r"), "--dataset", str(workspace["db"]),
+            "--pool", str(bad), "--model", str(workspace["model"]),
+            "--queries", str(workspace["queries"]),
+        ])
+        assert rc == 1
+        assert f"graph 0 spec k={doc['N']} exceeds N-1={doc['N'] - 1}" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
 
 class TestConfigFile:
     def test_config_with_flag_override(self, tmp_path):

@@ -376,6 +376,10 @@ def _corrupt_short_triplet(doc):
     doc["graphs"][1]["triplets"][2] = doc["graphs"][1]["triplets"][2][:2]
 
 
+def _corrupt_k_past_n(doc):
+    doc["graphs"][1]["spec"]["k"] = doc["N"]
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
@@ -388,6 +392,7 @@ def _corrupt_short_triplet(doc):
         (_corrupt_duplicate_edge, r"graph 0 triplet .*more than once"),
         (_corrupt_graph_count, r"header M=99 but 2 graphs"),
         (_corrupt_short_triplet, r"graph 1 triplet \[\d+, \d+\]: expected \[i, j, weight\]"),
+        (_corrupt_k_past_n, r"graph 1 spec k=10 exceeds N-1=9"),
     ],
 )
 def test_load_pool_rejects_corrupt_file(tmp_path, corrupt, message):

@@ -396,6 +396,145 @@ class TestRankOnline:
             grank_online(pool, 5, ds, ds.records[0].features, params)
 
 
+def two_cluster_dataset(rng, sizes):
+    """Two clusters on disjoint coordinate pairs: under every scheme a node's
+    nearest neighbors lie in its own cluster, so kNN graphs never join them."""
+    n_a, n_b = sizes
+    X = np.zeros((n_a + n_b, 4))
+    X[:n_a, :2] = rng.uniform(5.0, 6.0, size=(n_a, 2))
+    X[n_a:, 2:] = rng.uniform(5.0, 6.0, size=(n_b, 2))
+    return dataset_from_arrays(X, ["a"] * n_a + ["b"] * n_b)
+
+
+def cluster_query(rng, cluster):
+    x0 = np.zeros(4)
+    x0[2 * cluster : 2 * cluster + 2] = rng.uniform(5.0, 6.0, size=2)
+    return x0
+
+
+def random_specs(rng, m, k_max):
+    return [
+        GraphSpec(str(s), int(rng.integers(1, k_max + 1)),
+                  float(rng.uniform(0.5, 2.0)) if s == "gaussian" else None)
+        for s in rng.choice(SCHEMES, size=m)
+    ]
+
+
+def weights_with_zeros(rng, m):
+    """Random simplex weights with at least one exact zero and one nonzero."""
+    mu = rng.dirichlet(np.ones(m))
+    mu[rng.permutation(m)[: int(rng.integers(1, m))]] = 0.0
+    return GraphWeights(mu / mu.sum())
+
+
+def extended_laplacian(pool, mu, ds, x0):
+    """Combined extended Laplacian over every pooled graph, zero weights included."""
+    from multigrank.graphs import extend_graph
+    from multigrank.ranker import combine_laplacians
+
+    return combine_laplacians([extend_graph(g, ds, x0) for g in pool.graphs], mu)
+
+
+def query_selector(n):
+    u = np.zeros(n + 1)
+    u[0] = 1.0
+    return u
+
+
+def refuse_direct_solve(monkeypatch):
+    import multigrank.ranker as ranker
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("direct solve called; the frozen factor was not used")
+
+    monkeypatch.setattr(ranker, "_solve_spd", refuse)
+
+
+class TestFrozenFactor:
+    """Online ranking from the cached factor of the frozen database block."""
+
+    @given(
+        seed=st.integers(0, 2**16),
+        sizes=st.tuples(st.integers(3, 8), st.integers(3, 8)),
+        m=st.integers(2, 4),
+        ridge=st.sampled_from([1e-8, 1e-6, 1e-3]),
+        alpha=st.floats(0.1, 3.0),
+        cluster=st.integers(0, 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_oracle_on_disconnected_graphs(self, seed, sizes, m, ridge, alpha, cluster):
+        rng = np.random.default_rng(seed)
+        ds = two_cluster_dataset(rng, sizes)
+        pool = build_pool(ds, random_specs(rng, m, min(sizes) - 1))
+        mu = weights_with_zeros(rng, m)
+        model = RankModel(mu, HyperParams(alpha=alpha, ridge=ridge), pool.fingerprint, [])
+        x0 = cluster_query(rng, cluster)
+        with pytest.MonkeyPatch.context() as patch:
+            refuse_direct_solve(patch)
+            ranked = rank_online(model, pool, ds, x0)
+        u = query_selector(ds.n)
+        A = np.diag(u + ridge) + alpha * extended_laplacian(pool, mu.mu, ds, x0).toarray()
+        oracle = np.linalg.inv(A) @ u
+        assert np.linalg.norm(ranked.scores - oracle[1:]) / np.linalg.norm(oracle[1:]) <= 1e-8
+
+    def test_ridge_zero_takes_the_direct_path(self):
+        rng = np.random.default_rng(4)
+        ds = two_cluster_dataset(rng, (5, 6))
+        pool = build_pool(ds, random_specs(rng, 3, 4))
+        model = RankModel(weights_with_zeros(rng, 3), HyperParams(ridge=0.0), pool.fingerprint, [])
+        with pytest.raises(SingularSystemError, match="ridge"):
+            rank_online(model, pool, ds, cluster_query(rng, 0))
+
+        one = two_cluster_dataset(rng, (7, 0))
+        # k = N - 1: every graph is complete, so every extended graph is connected
+        pool = build_pool(one, [GraphSpec(s, 6, 1.0 if s == "gaussian" else None)
+                                for s in SCHEMES])
+        mu = weights_with_zeros(rng, len(SCHEMES))
+        model = RankModel(mu, HyperParams(alpha=0.7, ridge=0.0), pool.fingerprint, [])
+        x0 = cluster_query(rng, 0)
+        u = query_selector(one.n)
+        direct = grank_solve(extended_laplacian(pool, mu.mu, one, x0), u, u.copy(), alpha=0.7)
+        assert np.array_equal(rank_online(model, pool, one, x0).scores, direct[1:])
+
+    def test_cache_follows_weights_and_params(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        ds = two_cluster_dataset(rng, (8, 0))
+        specs = [GraphSpec("gaussian", 7, 1.0), GraphSpec("cosine", 7), GraphSpec("tanimoto", 7)]
+        pool = build_pool(ds, specs)
+        fp = pool.fingerprint
+        params = HyperParams()
+        model_a = RankModel(GraphWeights(np.array([0.5, 0.5, 0.0])), params, fp, [])
+        model_b = RankModel(GraphWeights(np.array([0.2, 0.8, 0.0])), params, fp, [])
+        # each arm differs from another in one of: weights, alpha, ridge, active graphs
+        arms = [
+            lambda p, x: rank_online(model_a, p, ds, x),
+            lambda p, x: rank_online(model_b, p, ds, x),
+            lambda p, x: rank_online(model_a, p, ds, x, HyperParams(alpha=0.3)),
+            lambda p, x: rank_online(model_a, p, ds, x, HyperParams(ridge=1e-3)),
+            lambda p, x: grank_online(p, 2, ds, x, params),
+            lambda p, x: grank_online(p, 0, ds, x, params),
+        ]
+        queries = [cluster_query(rng, 0) for _ in range(3)]
+        expected = [
+            [arm(GraphPool(pool.graphs, fp, pool.dim), x).scores for x in queries] for arm in arms
+        ]
+
+        def arrays_in(value):
+            if isinstance(value, tuple):
+                return [a for v in value for a in arrays_in(v)]
+            return [value] if isinstance(value, np.ndarray) else []
+
+        def factors_held():
+            return sum(a.shape == (ds.n, ds.n) for v in vars(pool).values() for a in arrays_in(v))
+
+        arms[0](pool, queries[0])
+        refuse_direct_solve(monkeypatch)
+        for _ in range(2):
+            for i, x in enumerate(queries):
+                for a in rng.permutation(len(arms)):
+                    assert np.array_equal(arms[a](pool, x).scores, expected[a][i])
+                    assert factors_held() == 1
+
 class TestPairwiseBaseline:
     def test_duplicate_query_ranks_first(self):
         ds = dataset_from_arrays([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
