@@ -23,11 +23,20 @@ _FORMATS = ("csv", "json")
 
 @dataclass(frozen=True, eq=False)
 class DomainRecord:
-    """One database item: id, hierarchical label path, feature vector."""
+    """One database item: id, hierarchical label path, feature vector.
+
+    The features are stored as a read-only float64 copy, so a record, and any
+    fingerprint or matrix cached from it, cannot change after construction.
+    """
 
     id: str
     label: tuple[str, ...]
     features: np.ndarray
+
+    def __post_init__(self):
+        features = np.array(self.features, dtype=np.float64)
+        features.setflags(write=False)
+        object.__setattr__(self, "features", features)
 
     def label_prefix(self, level: int) -> tuple[str, ...]:
         """First ``level`` components of the label path."""
@@ -73,6 +82,19 @@ class Dataset:
     @property
     def ids(self) -> tuple[str, ...]:
         return tuple(rec.id for rec in self.records)
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """Short stable hash of every record's id, label and features."""
+        h = hashlib.sha256()
+        for rec in self.records:
+            h.update(rec.id.encode("utf-8"))
+            h.update(b"\x1f")
+            h.update(LABEL_SEP.join(rec.label).encode("utf-8"))
+            h.update(b"\x1f")
+            h.update(rec.features.tobytes())
+            h.update(b"\x1e")
+        return h.hexdigest()[:16]
 
     @cached_property
     def feature_matrix(self) -> np.ndarray:
@@ -248,7 +270,7 @@ def generate_synthetic(
                 DomainRecord(
                     id=f"c{c}_r{j:03d}",
                     label=(f"class{c}",),
-                    features=points[c * per_class + j].copy(),
+                    features=points[c * per_class + j],
                 )
             )
     return Dataset.from_records(records)
@@ -296,13 +318,6 @@ def split_queries(ds: Dataset, per_label: int, mode: str, seed: int = 0):
 
 
 def dataset_fingerprint(ds: Dataset) -> str:
-    """Short stable hash binding derived artifacts (pools, models) to a dataset."""
-    h = hashlib.sha256()
-    for rec in ds.records:
-        h.update(rec.id.encode("utf-8"))
-        h.update(b"\x1f")
-        h.update(LABEL_SEP.join(rec.label).encode("utf-8"))
-        h.update(b"\x1f")
-        h.update(np.ascontiguousarray(rec.features, dtype=np.float64).tobytes())
-        h.update(b"\x1e")
-    return h.hexdigest()[:16]
+    """Short stable hash binding derived artifacts (pools, models) to a dataset;
+    computed once per dataset (``Dataset.fingerprint``)."""
+    return ds.fingerprint

@@ -80,8 +80,10 @@ class GraphPool:
         return self.graphs[0].n
 
 
-# elements per row block of the (rows, N, d) broadcast in knn_neighbors
-_BLOCK_ELEMS = 1 << 21
+# elements per (rows, N) filter key block in knn_neighbors, and per gathered
+# (pairs, d) operand of its exact rescoring
+_KEY_ELEMS = 1 << 16
+_PAIR_ELEMS = 1 << 20
 
 
 def _dot(a, b) -> np.ndarray:
@@ -100,6 +102,16 @@ def _ratio(num, den) -> np.ndarray:
     return np.divide(num, den, out=np.zeros(np.shape(num)), where=den != 0)
 
 
+def _require_nonnegative(*xs) -> None:
+    if any((x < 0).any() for x in xs):
+        raise ValueError("jaccard requires nonnegative features")
+
+
+def _require_nonzero(*norms) -> None:
+    if any((nrm == 0.0).any() for nrm in norms):
+        raise ValueError("zero vector under cosine similarity")
+
+
 def edge_weight(x_i, x_j, spec: GraphSpec):
     """Similarity under the spec's weighting scheme, broadcast over leading axes.
 
@@ -114,8 +126,7 @@ def edge_weight(x_i, x_j, spec: GraphSpec):
     if spec.scheme == "gaussian":
         w = np.exp(-_sq_dist(x_i, x_j) / (2.0 * spec.sigma**2))
     elif spec.scheme == "jaccard":
-        if (x_i < 0).any() or (x_j < 0).any():
-            raise ValueError("jaccard requires nonnegative features")
+        _require_nonnegative(x_i, x_j)
         w = _ratio(np.minimum(x_i, x_j).sum(axis=-1), np.maximum(x_i, x_j).sum(axis=-1))
     else:
         dot = _dot(x_i, x_j)
@@ -124,8 +135,7 @@ def edge_weight(x_i, x_j, spec: GraphSpec):
         elif spec.scheme == "cosine":
             ni = np.sqrt(_dot(x_i, x_i))
             nj = np.sqrt(_dot(x_j, x_j))
-            if (ni == 0.0).any() or (nj == 0.0).any():
-                raise ValueError("zero vector under cosine similarity")
+            _require_nonzero(ni, nj)
             w = dot / (ni * nj)
         else:  # tanimoto
             w = _ratio(dot, _dot(x_i, x_i) + _dot(x_j, x_j) - dot)
@@ -146,19 +156,33 @@ def _closeness(a, b, spec: GraphSpec) -> np.ndarray:
     return edge_weight(a, b, spec)
 
 
+def _candidates(keys: np.ndarray, k: int, slack) -> tuple[np.ndarray, np.ndarray]:
+    """(row, column) indices, row-major, of the keys not above their row's k-th
+    smallest key plus ``slack``.  NaN keys are kept, as is every key of a row
+    whose bound is NaN."""
+    kth = np.partition(keys, k - 1, axis=1)[:, k - 1 : k]
+    # flatnonzero then divmod: many times faster than a 2-D np.nonzero
+    return np.divmod(np.flatnonzero(~(keys > kth + slack)), keys.shape[1])
+
+
+def _ordered_first_k(rows, cols, keys, n_rows: int, k: int) -> np.ndarray:
+    """The first k columns of each row by (key, column), from row-major
+    candidates that hold at least those k per row.  NaN keys sort last."""
+    # cols ascend within each row, and lexsort is stable: (row, key, column)
+    order = np.lexsort((keys, rows))
+    starts = np.searchsorted(rows, np.arange(n_rows))
+    return cols[order][starts[:, None] + np.arange(k)]
+
+
 def _first_k(keys: np.ndarray, k: int) -> np.ndarray:
     """Columns of the k smallest keys in each row, ordered by (key, column).
 
     Equal to the first k columns of a stable argsort, ties included, without
     sorting whole rows: only the candidates up to each row's k-th value are
-    sorted.  NaN keys sort last, as in argsort.
+    sorted.
     """
-    kth = np.partition(keys, k - 1, axis=1)[:, k - 1 : k]
-    rows, cols = np.nonzero(~(keys > kth))
-    # cols ascend within each row, and lexsort is stable: (row, key, column)
-    order = np.lexsort((keys[rows, cols], rows))
-    starts = np.searchsorted(rows, np.arange(keys.shape[0]))
-    return cols[order][starts[:, None] + np.arange(k)]
+    rows, cols = _candidates(keys, k, 0.0)
+    return _ordered_first_k(rows, cols, keys[rows, cols], keys.shape[0], k)
 
 
 def _symmetric_graph(spec: GraphSpec, n: int, rows, cols, vals) -> BaseGraph:
@@ -170,24 +194,149 @@ def _symmetric_graph(spec: GraphSpec, n: int, rows, cols, vals) -> BaseGraph:
     return BaseGraph.from_weights(spec, weights)
 
 
+def _filter_margin(sq_norms: np.ndarray, d: int, by_norm: bool) -> np.ndarray:
+    """Per row i, a bound on |filter key - selection key| over the row's pairs.
+
+    The selection key of a pair is its negated ``_closeness`` as rounded in
+    floating point; for squared distance it is taken here less a constant of
+    the row, which orders and ties each row alike.  With u = 2^-53, a sum of
+    d terms rounded in any order (einsum, np.sum, BLAS, with or without FMA)
+    is within (d-1)u of the sum of their magnitudes, to first order in u.
+    For rows a, b with squared norms A, B, and sum|a_l b_l| <= (A + B)/2,
+    that gives for |filter key - selection key|:
+
+    - squared distance, with A and B taken about the column mean m, which
+      leaves distances unchanged: the rows less m are rounded by at most
+      u|a - m|, which moves D = |a - b|^2 <= 2(A + B) by at most 4u(A + B);
+      sum (a_l - b_l)^2 is within (d+2)u D of D, and the Gram key B - 2a.b of
+      the centred rows within (2d+2)u(A + B) of D - A: (4d+10)u(A + B) in
+      all;
+    - cosine: a.b/(|a||b|) and the product of the unit rows are each within
+      (2d+4)u of the exact cosine: (4d+8)u;
+    - tanimoto: the denominator A + B - a.b >= (A + B)/2 is found within
+      (3d+3)u relatively and the numerator within du(A + B)/2, so each of the
+      two quotients, at most 1 in size, is within (4d+4)u: (8d+8)u;
+    - jaccard: sum(min)/sum(max) <= 1 is within 2du of the exact value; the
+      filter finds sum(max) = M within du and Sa + Sb <= 2M within du
+      relatively, so its (M - Sa - Sb)/M is within (4d+1)u: (6d+1)u.
+
+    The margin 16(d+2)u, times A_i + max A when ``by_norm`` (squared
+    distance), is at least twice each bound; the factor 2 covers the
+    second-order terms and the roundings of the margin and of the cut
+    kth + 2 margin (rounding to nearest is monotone, so the computed cut
+    admits every float the exact one does).  Underflow adds at most
+    ~4d 2^-1075 to any of these sums, which the factor also covers once every
+    nonzero squared norm is >= 2^-900; under squared distance, identical
+    rows centre to exact zeros, and their margin of 0 is exact.  A
+    squared norm above 2^900, nonzero below 2^-900, or NaN voids the bounds:
+    the margin is then infinite, and every column is rescored.
+    """
+    nonzero = sq_norms[sq_norms != 0]
+    if nonzero.size and not (2.0**-900 <= nonzero.min() and nonzero.max() <= 2.0**900):
+        return np.full(sq_norms.shape, np.inf)
+    bound = 16 * (d + 2) * np.finfo(np.float64).eps / 2
+    if by_norm:
+        return bound * (sq_norms + sq_norms.max())
+    return np.full(sq_norms.shape, bound)
+
+
+def _filter(X: np.ndarray, sq_norms: np.ndarray, measure: str):
+    """The cheap filter of ``knn_neighbors``: a function of a row block giving
+    its (rows, N) filter keys, and per row the margin within which they
+    approximate the selection keys (``_filter_margin``).  The keys come from a
+    Gram block, or for jaccard from a block of sum(max) built feature by
+    feature."""
+    d = X.shape[1]
+    if measure == "sq_distance":
+        # distances do not change under a shift, and the Gram key's rounding
+        # scales with the norms, so centring keeps the margin small for data
+        # far from the origin
+        centred = X - X.mean(axis=0)
+        centred_norms = _dot(centred, centred)
+        # a Gram block against -2 times the rows holds -2a.b: no pass to scale it
+        scaled = -2.0 * centred
+
+        def keys(rows):
+            # |b|^2 - 2a.b: the squared distance less |a|^2
+            gram = centred[rows] @ scaled.T
+            gram += centred_norms
+            return gram
+
+        return keys, _filter_margin(centred_norms, d, by_norm=True)
+    margin = _filter_margin(sq_norms, d, by_norm=False)
+    if measure == "jaccard":
+        features = np.ascontiguousarray(X.T)
+        sums = X.sum(axis=1)
+
+        def keys(rows):
+            # sum(min) = (Sa + Sb - l1)/2 and sum(max) = (Sa + Sb + l1)/2 with
+            # l1 = |a - b|_1, so sum(min) = Sa + Sb - sum(max), and the key
+            # -sum(min)/sum(max) increases with l1/(Sa + Sb)
+            most = np.zeros((len(rows), X.shape[0]))
+            buf = np.empty_like(most)
+            for block_col, col in zip(X[rows].T, features):
+                most += np.maximum(block_col[:, None], col, out=buf)
+            return _ratio(most - (sums[rows, None] + sums), most)
+
+        return keys, margin
+    # Gram blocks against the negated rows hold -a.b: no pass to negate them
+    if measure == "cosine":
+        unit = X / np.sqrt(sq_norms)[:, None]
+        negated = -unit
+        return (lambda rows: unit[rows] @ negated.T), margin
+    negated = -X
+
+    def keys(rows):
+        gram = X[rows] @ negated.T
+        return _ratio(gram, sq_norms[rows, None] + sq_norms + gram)
+
+    return keys, margin
+
+
 def knn_neighbors(ds: Dataset, spec: GraphSpec) -> np.ndarray:
     """Indices of each node's k nearest neighbors under the spec's measure.
 
     Returns an (N, k) array, closest first, self excluded, ties broken by
     lower node index, so the first k' < k columns are the answer for k'.
-    Rows are scored in blocks; no N x N array is formed.
+
+    Row blocks are filtered and refined; no N x N array is formed.  A cheap
+    filter key (``_filter``) is within a proven margin m of the exact
+    selection key (``_filter_margin``).  The k columns of smallest filter key
+    then have selection keys <= kth + m, kth the row's k-th filter key, so
+    every column the exact scan selects has filter key <= kth + 2m.  Only
+    those candidates are rescored with ``_closeness`` and picked by
+    (key, index), so the result equals the exhaustive scan bit for bit.
     """
     X = ds.feature_matrix
     n, d = X.shape
     if spec.k > n - 1:
         raise ValueError(f"k={spec.k} out of range for {n} nodes")
-    step = max(1, _BLOCK_ELEMS // (n * max(d, 1)))
+    measure = _measure(spec)
+    sq_norms = _dot(X, X)
+    if measure == "jaccard":
+        _require_nonnegative(X)
+    elif measure == "cosine":
+        _require_nonzero(sq_norms)
+    filter_keys, margin = _filter(X, sq_norms, measure)
+    slack = 2.0 * margin
+    step = max(1, _KEY_ELEMS // n)
+    chunk = max(1, _PAIR_ELEMS // max(d, 1))
     out = np.empty((n, spec.k), dtype=np.intp)
     for start in range(0, n, step):
         rows = np.arange(start, min(start + step, n))
-        closeness = _closeness(X[rows, None, :], X[None, :, :], spec)
-        closeness[rows - start, rows] = -np.inf
-        out[rows] = _first_k(-closeness, spec.k)
+        # outside the bounded range filter keys may overflow; the margin is
+        # then infinite and keeps every column anyway
+        with np.errstate(over="ignore", invalid="ignore"):
+            approx = filter_keys(rows)
+            approx[rows - start, rows] = np.inf
+            block_rows, cols = _candidates(approx, spec.k, slack[rows, None])
+        pair_rows = rows[block_rows]
+        keys = np.empty(len(cols))
+        for lo in range(0, len(cols), chunk):
+            part = slice(lo, lo + chunk)
+            keys[part] = -_closeness(X[pair_rows[part]], X[cols[part]], spec)
+        keys[pair_rows == cols] = np.inf
+        out[rows] = _ordered_first_k(block_rows, cols, keys, len(rows), spec.k)
     return out
 
 

@@ -145,9 +145,14 @@ def _solve_spd(A, rhs, dense_limit: int = DENSE_SOLVE_LIMIT) -> np.ndarray:
     rhs = np.asarray(rhs, dtype=np.float64)
     n = A.shape[0]
     if n <= dense_limit:
-        dense = A.toarray() if sp.issparse(A) else np.asarray(A, dtype=np.float64)
+        # a sparse A is densified into a fresh Fortran-order array, which is
+        # then factored in place rather than copied
+        sparse = sp.issparse(A)
+        dense = A.toarray(order="F") if sparse else np.asarray(A, dtype=np.float64)
         try:
-            factor = scipy.linalg.cho_factor(dense, lower=True, check_finite=False)
+            factor = scipy.linalg.cho_factor(
+                dense, lower=True, overwrite_a=sparse, check_finite=False
+            )
             x = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
         except scipy.linalg.LinAlgError as exc:
             raise SingularSystemError(SINGULAR_MSG) from exc

@@ -224,6 +224,27 @@ def test_fingerprint_tracks_content():
     assert dataset_fingerprint(a) != dataset_fingerprint(b)
 
 
+def test_fingerprint_value_is_stable():
+    # values written by the per-call hash before it was cached on the dataset
+    assert dataset_fingerprint(generate_synthetic(3, 8, 4, 1.0, 6.0, 0)) == "5d8d32a8a6376e6b"
+    assert dataset_fingerprint(generate_synthetic(5, 120, 32, 1.0, 5.0, 0)) == "7a533fe941f5acac"
+
+
+def test_record_features_are_a_read_only_float64_copy():
+    source = np.array([1, 2, 3])
+    rec = DomainRecord("a", ("x",), source)
+    assert rec.features.dtype == np.float64
+    with pytest.raises(ValueError, match="read-only"):
+        rec.features[0] = 5.0
+    source[0] = 7
+    assert rec.features.tolist() == [1.0, 2.0, 3.0]
+    ds = generate_synthetic(2, 4, 3, 1.0, 2.0, 0)
+    before = dataset_fingerprint(ds)
+    with pytest.raises(ValueError, match="read-only"):
+        ds.records[0].features += 1.0
+    assert dataset_fingerprint(ds) == before
+
+
 def test_validation_rejects_small_and_broken_inputs():
     rec = DomainRecord("a", ("x",), np.array([1.0]))
     with pytest.raises(ValueError, match="at least 2"):

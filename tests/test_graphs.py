@@ -45,12 +45,26 @@ def closeness_oracle(x_i, x_j, scheme):
     return dot / (sum(a * a for a in x_i) + sum(b * b for b in x_j) - dot)
 
 
-def neighbors_oracle(X, scheme, k):
+def rounded_closeness(x_i, x_j, scheme):
+    """The selection measure as the library rounds each pair.
+
+    Near-ties between the quotients of cosine, tanimoto and jaccard resolve by
+    rounding, which the scalar edge_weight call reproduces bit for bit (see
+    test_broadcast_forms_match_scalar_calls).  Squared distances follow the
+    independent oracle: exact for rows a few ulps apart, and elsewhere with
+    gaps far above their rounding.
+    """
+    if scheme in ("cosine", "tanimoto", "jaccard"):
+        return edge_weight(x_i, x_j, spec_for(scheme, 1))
+    return closeness_oracle(x_i, x_j, scheme)
+
+
+def neighbors_oracle(X, scheme, k, closeness=closeness_oracle):
     """Exhaustive all-pairs scan with the tie-break rule spelled out."""
     n = len(X)
     out = []
     for i in range(n):
-        cands = [(-closeness_oracle(X[i], X[j], scheme), j) for j in range(n) if j != i]
+        cands = [(-closeness(X[i], X[j], scheme), j) for j in range(n) if j != i]
         cands.sort()
         out.append([j for _, j in cands[:k]])
     return out
@@ -110,6 +124,71 @@ class TestKnn:
             oracle = neighbors_oracle(X, scheme, k_max)
             for k in range(1, k_max + 1):
                 assert nbrs[:, :k].tolist() == [r[:k] for r in oracle]
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_adversarial_near_ties_match_exhaustive_scan(self, data):
+        # selection keys whose gaps sit at or below the rounding error of the
+        # cheap filter keys, so a filter margin set too small drops a true
+        # neighbour: rows a few ulps apart, a large common offset with small
+        # spread, large and tiny norms, exact duplicates and all-zero rows
+        case = data.draw(st.sampled_from(["ulp", "offset", "norm", "duplicate"]))
+        dim = data.draw(st.integers(1, 6))
+        n = data.draw(st.integers(3, 12))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        if case == "ulp":
+            base = rng.uniform(1.25, 1.75, size=dim)
+            X = base + rng.integers(-3, 4, size=(n, dim)) * np.spacing(base)
+        elif case == "offset":
+            X = data.draw(st.sampled_from([1e6, 1e7, 1e8])) + rng.uniform(0, 1, (n, dim))
+        elif case == "norm":
+            scale = data.draw(st.sampled_from([1e-150, 1e-100, 1e100, 1e150]))
+            X = scale * (1.0 + 1e-8 * rng.uniform(0, 1, (n, dim)))
+        else:
+            distinct = rng.uniform(0.5, 2.0, (data.draw(st.integers(1, 3)), dim))
+            distinct[: data.draw(st.integers(0, len(distinct)))] = 0.0
+            X = distinct[rng.integers(0, len(distinct), n)]
+        ds = dataset_from_arrays(X)
+        for scheme in SCHEMES:
+            if scheme == "cosine" and not X.any(axis=1).all():
+                continue
+            oracle = neighbors_oracle(X, scheme, n - 1, rounded_closeness)
+            for k in range(1, n):
+                nbrs = knn_neighbors(ds, spec_for(scheme, k))
+                assert nbrs.tolist() == [r[:k] for r in oracle], (scheme, k)
+
+    def test_zero_rows_score_zero_and_tie_by_index(self):
+        # a zero row scores 0 against every row under tanimoto and jaccard,
+        # so its neighbours are the lowest indices; an all-zero dataset ties
+        # every pair of every measure but cosine
+        X = np.array([[0.0, 0.0], [1.0, 2.0], [0.0, 0.0], [2.0, 1.0], [0.0, 0.0]])
+        ds = dataset_from_arrays(X)
+        for scheme in ("tanimoto", "jaccard"):
+            assert knn_neighbors(ds, spec_for(scheme, 4)).tolist() == [
+                [1, 2, 3, 4], [3, 0, 2, 4], [0, 1, 3, 4], [1, 0, 2, 4], [0, 1, 2, 3]
+            ]
+            graph = build_pool(ds, [spec_for(scheme, 4)]).graphs[0]
+            assert graph.weights[0, 2] == graph.weights[0, 1] == 0.0
+        zeros = dataset_from_arrays(np.zeros((5, 3)))
+        for scheme in ("gaussian", "dot_product", "tanimoto", "jaccard"):
+            for k in range(1, 5):
+                assert knn_neighbors(zeros, spec_for(scheme, k)).tolist() == [
+                    [j for j in range(5) if j != i][:k] for i in range(5)
+                ]
+
+    @pytest.mark.parametrize(
+        "scheme, X, message",
+        [
+            ("cosine", [[1.0, 2.0], [0.0, 0.0], [2.0, 1.0]], "zero vector"),
+            ("jaccard", [[1.0, 2.0], [0.5, -1.0], [2.0, 1.0]], "nonnegative"),
+        ],
+    )
+    def test_unscorable_features_rejected(self, scheme, X, message):
+        ds = dataset_from_arrays(X)
+        with pytest.raises(ValueError, match=message):
+            knn_neighbors(ds, spec_for(scheme, 1))
+        with pytest.raises(ValueError, match=message):
+            build_pool(ds, [spec_for("gaussian", 1), spec_for(scheme, 1)])
 
 
 class TestEdgeWeight:
@@ -311,6 +390,17 @@ class TestPool:
         save_pool(build_pool(ds, default_spec_grid(ds)), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "62297abdfa4860fa8830497cd90ff42f0169887ec2094c0bb78f0d1b7135283e"
+        )
+
+    def test_benchmark_scale_pool_bytes_golden(self, tmp_path):
+        # sha256 of the bytes written by the exhaustive neighbour scan (numpy
+        # 2.4.6, x86-64) at N=600, d=32, the default grid: every measure's
+        # selection runs on many row blocks with real gaps between keys
+        ds = generate_synthetic(5, 120, 32, 1.0, 5.0, 0)
+        path = tmp_path / "pool.json"
+        save_pool(build_pool(ds, default_spec_grid(ds)), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "92115eca7ebd82f07c385adc9c446b18e835a1e300c4e2c60a6a4cdc629d0bee"
         )
 
     def test_round_trip(self, tmp_path):
