@@ -44,7 +44,6 @@ from .ranker import (
     grank_solve,
     load_model,
     minimize_weights,
-    mu_update,
     offline_f_update,
     offline_objective,
     project_to_simplex,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -63,6 +64,46 @@ class BaseGraph:
         return cls(spec=spec, weights=w, degrees=w @ np.ones(w.shape[0]))
 
 
+@dataclass(frozen=True, eq=False)
+class EdgeTable:
+    """Every pooled graph's weights over the union of their edges.
+
+    Edge e joins ``i[e] < j[e]``; ``weights[e, m]`` is graph m's weight on it,
+    0 where graph m lacks the edge.  ``indptr`` and ``indices`` are the CSR
+    pattern of a symmetric N x N matrix with a diagonal and both directions
+    of every edge, and ``order`` takes ``concat(diagonal, upper, lower)``
+    values, with ``upper`` and ``lower`` in edge order, to that pattern's
+    data.
+    """
+
+    i: np.ndarray
+    j: np.ndarray
+    weights: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    order: np.ndarray
+
+    @classmethod
+    def from_graphs(cls, graphs, n: int) -> "EdgeTable":
+        parts = []
+        for graph in graphs:
+            upper = sp.triu(graph.weights, k=1).tocoo()
+            upper.sum_duplicates()
+            parts.append(upper)
+        keys = np.concatenate([p.row.astype(np.int64) * n + p.col for p in parts])
+        union, edge_of = np.unique(keys, return_inverse=True)
+        weights = np.zeros((union.size, len(parts)))
+        graph_of = np.repeat(np.arange(len(parts)), [p.nnz for p in parts])
+        weights[edge_of, graph_of] = np.concatenate([p.data for p in parts])
+        i, j = np.divmod(union, n)
+        nodes = np.arange(n)
+        rows = np.concatenate([nodes, i, j])
+        cols = np.concatenate([nodes, j, i])
+        order = np.lexsort((cols, rows))
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+        return cls(i=i, j=j, weights=weights, indptr=indptr, indices=cols[order], order=order)
+
+
 @dataclass(eq=False)
 class GraphPool:
     """Ordered candidate graphs over one dataset, bound by its fingerprint."""
@@ -78,6 +119,11 @@ class GraphPool:
     @property
     def n(self) -> int:
         return self.graphs[0].n
+
+    @cached_property
+    def edge_table(self) -> EdgeTable:
+        """The graphs' edge table, built on first use and kept (E x M floats)."""
+        return EdgeTable.from_graphs(self.graphs, self.n)
 
 
 # elements per (rows, N) filter key block in knn_neighbors, and per gathered

@@ -3,6 +3,9 @@
 Offline: alternate between the closed-form score solve
 ``F = (I + alpha * sum_m mu_m L_m)^-1 Y`` and the simplex-constrained
 quadratic update of the graph weights mu, recording the joint objective.
+Both run on the pool's edge table: the score solve by Jacobi-preconditioned
+conjugate gradients, warm-started from the previous scores, and the
+roughness terms from squared score differences along the edges.
 Online: extend every pooled graph with the query as node 0, combine the
 extended Laplacians with the learned mu, and solve
 ``(U + alpha L + ridge I) f = U y`` with U = diag(1, 0, ..., 0).  The
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +32,11 @@ from .graphs import GraphPool, extend_graph
 # direct factorization below this size, conjugate gradients above
 DENSE_SOLVE_LIMIT = 4096
 CG_RTOL = 1e-10
+# stopping tolerance of the training solve, relative to each column of Y
+TRAIN_CG_RTOL = 1e-14
 RESIDUAL_TOL = 1e-8
+# elements per (edges, columns) block of score differences in smoothness_terms
+_GATHER_ELEMS = 1 << 20
 
 SINGULAR_MSG = (
     "ranking system is singular (typically a graph component disconnected from "
@@ -58,6 +66,8 @@ class HyperParams:
             raise ValueError("alpha must be > 0")
         if not self.beta > 0:
             raise ValueError("beta must be > 0")
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral):
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.ridge < 0:
@@ -280,24 +290,109 @@ def _relevance_columns(Y):
     return Z, gid, np.bincount(gid)
 
 
+def _training_system(pool: GraphPool, mu: np.ndarray, alpha: float):
+    """``A = I + alpha (D - W)`` for ``W = sum_m mu_m W_m``, as CSR on the
+    edge table's fixed pattern, and its diagonal."""
+    table = pool.edge_table
+    n = pool.n
+    w = table.weights @ mu
+    deg = np.bincount(table.i, w, minlength=n) + np.bincount(table.j, w, minlength=n)
+    diag = 1.0 + alpha * deg
+    off = -alpha * w
+    data = np.concatenate([diag, off, off])[table.order]
+    return sp.csr_matrix((data, table.indices, table.indptr), shape=(n, n)), diag
+
+
+def _column_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->j", a, b)
+
+
+def _block_cg(A, diag: np.ndarray, B: np.ndarray, X0=None) -> tuple[np.ndarray, int]:
+    """Jacobi-preconditioned conjugate gradients on every column of B at once.
+
+    Column c stops once its residual is within TRAIN_CG_RTOL of ``|B[:, c]|``;
+    a zero column is solved by 0.  Starts from ``X0`` when given.  Returns the
+    solution and the number of steps taken.  Raises SingularSystemError past
+    20 N steps, or when the result is not finite or its true relative
+    residual exceeds RESIDUAL_TOL.
+    """
+    n, c = B.shape
+    X = np.zeros((n, c)) if X0 is None else np.array(X0, dtype=np.float64)
+    norms = np.linalg.norm(B, axis=0)
+    tol = TRAIN_CG_RTOL * norms
+    X[:, norms == 0] = 0.0
+    R = B - A @ X
+    inv = 1.0 / diag[:, None]
+    Z = inv * R
+    P = Z.copy()
+    rz = _column_dots(R, Z)
+    steps = 0
+    while True:
+        active = np.linalg.norm(R, axis=0) > tol
+        if not active.any():
+            break
+        if steps == 20 * n:
+            raise SingularSystemError(SINGULAR_MSG)
+        AP = A @ P
+        step = np.divide(rz, _column_dots(P, AP), out=np.zeros(c), where=active)
+        X += step * P
+        R -= step * AP
+        np.multiply(inv, R, out=Z)
+        rz_next = _column_dots(R, Z)
+        P *= np.divide(rz_next, rz, out=np.zeros(c), where=active)
+        P += Z
+        rz = rz_next
+        steps += 1
+    if not np.all(np.isfinite(X)):
+        raise SingularSystemError(SINGULAR_MSG)
+    rel = np.linalg.norm(A @ X - B, axis=0) / np.where(norms > 0, norms, 1.0)
+    # NaN residuals stop the loop as if converged; this comparison rejects them
+    if not (rel <= RESIDUAL_TOL).all():
+        raise SingularSystemError(SINGULAR_MSG)
+    return X, steps
+
+
 def offline_f_update(pool: GraphPool, mu: GraphWeights, Y, alpha: float,
-                     dense_limit: int = DENSE_SOLVE_LIMIT) -> np.ndarray:
+                     x0=None) -> np.ndarray:
     """Exact score-matrix update: solve (I + alpha sum_m mu_m L_m) F = Y.
 
-    The system matrix is identity plus a PSD term, hence always nonsingular.
-    Only the distinct columns of ``Y`` are solved for; the result has one
-    column per column of ``Y``.
+    The system matrix is identity plus a PSD term, hence always nonsingular,
+    with its spectrum in [1, 1 + 2 alpha max degree].  Only the distinct
+    columns of ``Y`` are solved for, by Jacobi-preconditioned conjugate
+    gradients on the pool's edge table; the result has one column per column
+    of ``Y``.  ``x0``, shaped like the result, is an optional starting guess,
+    such as the scores of the previous weights.
     """
     Z, gid, _ = _relevance_columns(Y)
-    L = combine_laplacians(pool.graphs, mu.mu)
-    A = (sp.identity(L.shape[0], format="csr") + alpha * L).tocsr()
-    return _solve_spd(A, Z, dense_limit)[..., gid]
+    B = Z.reshape(pool.n, -1)
+    X0 = None
+    if x0 is not None:
+        X0 = np.zeros(Z.shape)
+        X0[..., gid] = x0
+        X0 = X0.reshape(B.shape)
+    A, diag = _training_system(pool, mu.mu, alpha)
+    X, _ = _block_cg(A, diag, B, X0)
+    return X.reshape(Z.shape)[..., gid]
 
 
 def smoothness_terms(pool: GraphPool, F: np.ndarray) -> np.ndarray:
-    """Per-graph roughness of the scores: e_m = Tr(F^T L_m F)."""
+    """Per-graph roughness of the scores: e_m = Tr(F^T L_m F).
+
+    Summed over the edge table as ``e_m = sum_(i<j) w_ij |F[i] - F[j]|^2``,
+    with the score differences gathered a block of edges at a time.
+    """
     F = np.asarray(F, dtype=np.float64)
-    return np.array([float(np.sum(F * (g.laplacian() @ F))) for g in pool.graphs])
+    if F.ndim == 0 or F.shape[0] != pool.n:
+        raise ValueError(f"scores have shape {F.shape}, the pool has {pool.n} nodes")
+    F = F.reshape(pool.n, -1)
+    table = pool.edge_table
+    rough = np.empty(table.i.size)
+    step = max(1, _GATHER_ELEMS // max(1, F.shape[1]))
+    for lo in range(0, rough.size, step):
+        part = slice(lo, lo + step)
+        diff = F[table.i[part]] - F[table.j[part]]
+        rough[part] = np.einsum("ij,ij->i", diff, diff)
+    return table.weights.T @ rough
 
 
 def minimize_weights(e: np.ndarray, alpha: float, beta: float) -> GraphWeights:
@@ -310,11 +405,6 @@ def minimize_weights(e: np.ndarray, alpha: float, beta: float) -> GraphWeights:
         raise ValueError("beta must be > 0")
     v = -(alpha / (2.0 * beta)) * np.asarray(e, dtype=np.float64)
     return GraphWeights(project_to_simplex(v))
-
-
-def mu_update(pool: GraphPool, F: np.ndarray, alpha: float, beta: float) -> GraphWeights:
-    """Graph-weight update given fixed scores F."""
-    return minimize_weights(smoothness_terms(pool, F), alpha, beta)
 
 
 def offline_objective(pool: GraphPool, F: np.ndarray, Y, mu: GraphWeights,
@@ -344,7 +434,8 @@ def train_offline(pool: GraphPool, Y, params: HyperParams) -> RankModel:
     Columns of ``Y`` in one relevance group share one score column, so only
     the C distinct columns ``G`` are solved for, and each group's terms are
     weighted by its size n_c: ``e_m = sum_c n_c g_c' L_m g_c`` and
-    ``||F - Y||^2 = sum_c n_c ||g_c - z_c||^2``.
+    ``||F - Y||^2 = sum_c n_c ||g_c - z_c||^2``.  Each score solve starts
+    from the previous ``G``, so once mu settles it takes no CG steps.
     """
     Z, _, counts = _relevance_columns(Y)
     if Z.shape[0] != pool.n:
@@ -353,8 +444,9 @@ def train_offline(pool: GraphPool, Y, params: HyperParams) -> RankModel:
     m = pool.m
     mu = GraphWeights(np.full(m, 1.0 / m))
     trace: list[float] = []
+    G = None
     for _ in range(params.max_iters):
-        G = offline_f_update(pool, mu, Z, params.alpha)
+        G = offline_f_update(pool, mu, Z, params.alpha, x0=G)
         e = smoothness_terms(pool, G * scale)
         mu = minimize_weights(e, params.alpha, params.beta)
         resid = (G - Z) * scale
@@ -483,10 +575,13 @@ def load_model(path) -> RankModel:
         doc = json.load(fh)
     if doc.get("version") != 1:
         raise ValueError(f"unsupported model file version: {doc.get('version')!r}")
+    iters = doc["T"]
+    if isinstance(iters, bool) or not isinstance(iters, int):
+        raise ValueError(f"model file corrupt: T must be an integer, got {iters!r}")
     params = HyperParams(
         alpha=float(doc["alpha"]),
         beta=float(doc["beta"]),
-        max_iters=int(doc["T"]),
+        max_iters=iters,
         ridge=float(doc["ridge"]),
         tol=float(doc.get("tol", 0.0)),
     )

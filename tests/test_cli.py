@@ -231,6 +231,19 @@ class TestExitCodes:
         assert "ridge must be finite" in capsys.readouterr().err
         assert not model.exists()
 
+    def test_non_integer_model_iters_exit_code(self, tmp_path, workspace, capsys):
+        doc = json.loads(workspace["model"].read_text())
+        doc["T"] = 2.7
+        bad = tmp_path / "bad_model.json"
+        bad.write_text(json.dumps(doc))
+        rc = cli.main([
+            "rank", "--out", str(tmp_path / "r"), "--dataset", str(workspace["db"]),
+            "--pool", str(workspace["pool"]), "--model", str(bad),
+            "--queries", str(workspace["queries"]),
+        ])
+        assert rc == 1
+        assert "T must be an integer, got 2.7" in capsys.readouterr().err
+
     def test_corrupt_pool_exit_code(self, tmp_path, workspace, capsys):
         doc = json.loads(workspace["pool"].read_text())
         doc["graphs"][0]["triplets"][0][2] = -1.0

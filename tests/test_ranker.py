@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -12,7 +14,7 @@ from multigrank.dataset import (
     generate_synthetic,
     relevance_matrix,
 )
-from multigrank.graphs import SCHEMES, GraphPool, GraphSpec, build_graph, build_pool
+from multigrank.graphs import SCHEMES, BaseGraph, GraphPool, GraphSpec, build_graph, build_pool
 from multigrank.ranker import (
     GraphWeights,
     HyperParams,
@@ -23,7 +25,6 @@ from multigrank.ranker import (
     load_model,
     make_ranked,
     minimize_weights,
-    mu_update,
     offline_f_update,
     offline_objective,
     rank_online,
@@ -127,9 +128,47 @@ class TestFUpdate:
         ds, pool = small_pool(per_class=8)
         Y = relevance_matrix(ds, 1)
         mu = GraphWeights(np.array([0.4, 0.6]))
-        dense = offline_f_update(pool, mu, Y, alpha=1.0)
-        viacg = offline_f_update(pool, mu, Y, alpha=1.0, dense_limit=1)
-        assert np.allclose(dense, viacg, atol=1e-8)
+        A = np.eye(ds.n) + sum(w * g.laplacian().toarray() for w, g in zip(mu.mu, pool.graphs))
+        oracle = np.linalg.inv(A) @ Y.entries
+        rng = np.random.default_rng(2)
+        for x0 in (None, np.zeros((ds.n, ds.n)), oracle, rng.normal(size=(ds.n, ds.n))):
+            F = offline_f_update(pool, mu, Y, 1.0, x0=x0)
+            assert np.linalg.norm(F - oracle) / np.linalg.norm(oracle) <= 1e-8
+
+    def test_converged_start_takes_no_steps(self, monkeypatch):
+        import multigrank.ranker as ranker
+
+        ds, pool = small_pool(per_class=8)
+        Z = relevance_matrix(ds, 1).entries[:, [0, -1]]
+        mu = GraphWeights(np.array([0.4, 0.6]))
+        steps = []
+        solve = ranker._block_cg
+
+        def counted(*args):
+            X, taken = solve(*args)
+            steps.append(taken)
+            return X, taken
+
+        monkeypatch.setattr(ranker, "_block_cg", counted)
+        G = offline_f_update(pool, mu, Z, 1.0)
+        again = offline_f_update(pool, mu, Z, 1.0, x0=G)
+        assert steps[0] > 0 and steps[1] == 0
+        assert np.array_equal(again, G)
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_non_finite_system_raises(self, alpha):
+        ds, pool = small_pool()
+        with pytest.raises(SingularSystemError):
+            offline_f_update(pool, GraphWeights(np.array([0.5, 0.5])),
+                             relevance_matrix(ds, 1), alpha)
+
+    def test_zero_column_is_solved_by_zero(self):
+        ds, pool = small_pool()
+        Z = np.zeros((ds.n, 2))
+        Z[0, 1] = 1.0
+        F = offline_f_update(pool, GraphWeights(np.array([0.5, 0.5])), Z, 1.0,
+                             x0=np.ones((ds.n, 2)))
+        assert np.array_equal(F[:, 0], np.zeros(ds.n)) and F[0, 1] > 0
 
 
 def grid_minimizer(e, alpha, beta, step=1e-3):
@@ -147,7 +186,7 @@ class TestMuUpdate:
     def test_equal_terms_give_uniform(self):
         ds, pool = small_pool()
         F = np.zeros((ds.n, ds.n))  # all smoothness terms vanish
-        mu = mu_update(pool, F, alpha=1.0, beta=1.0)
+        mu = minimize_weights(smoothness_terms(pool, F), alpha=1.0, beta=1.0)
         assert np.allclose(mu.mu, 0.5, atol=1e-12)
 
     def test_mass_moves_to_smooth_graph(self):
@@ -308,6 +347,20 @@ class TestCollapsedTraining:
             raise AssertionError("dense N x N relevance matrix requested")
 
         monkeypatch.setattr(RelevanceMatrix, "entries", property(refuse))
+        model = train_offline(pool, Y, HyperParams(max_iters=3))
+        offline_f_update(pool, model.weights, Y, alpha=1.0)
+
+    def test_training_never_densifies(self, monkeypatch):
+        import multigrank.ranker as ranker
+
+        ds, pool = small_pool(n_classes=3)
+        Y = relevance_matrix(ds, 1)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense solve or Laplacian built during training")
+
+        monkeypatch.setattr(ranker, "_solve_spd", refuse)
+        monkeypatch.setattr(BaseGraph, "laplacian", refuse)
         model = train_offline(pool, Y, HyperParams(max_iters=3))
         offline_f_update(pool, model.weights, Y, alpha=1.0)
 
@@ -598,6 +651,29 @@ def test_model_round_trip(tmp_path):
     assert back.objective_trace == model.objective_trace
 
 
+@pytest.mark.parametrize("value", [2.5, 2.0, True, "3"])
+def test_hyperparams_max_iters_must_be_integer(value):
+    with pytest.raises(ValueError, match="max_iters must be an integer"):
+        HyperParams(max_iters=value)
+
+
+def test_hyperparams_accept_numpy_integer_iters():
+    assert HyperParams(max_iters=np.int64(3)).max_iters == 3
+
+
+@pytest.mark.parametrize("value", [2.7, 2.0, True, "2", None])
+def test_load_model_rejects_non_integer_iters(tmp_path, value):
+    ds, pool = small_pool()
+    model = train_offline(pool, relevance_matrix(ds, 1), HyperParams(max_iters=2))
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    doc = json.loads(path.read_text())
+    doc["T"] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="T must be an integer"):
+        load_model(path)
+
+
 def test_hyperparams_validation():
     for bad in (
         dict(alpha=0.0),
@@ -622,6 +698,35 @@ def test_graph_weights_validation():
         GraphWeights(np.array([0.6, 0.6]))
     with pytest.raises(ValueError, match="simplex"):
         GraphWeights(np.array([1.2, -0.2]))
+
+
+@st.composite
+def overlapping_pools(draw):
+    """Pools of random symmetric graphs over a shared candidate edge set: each
+    graph keeps a random subset of it, so graphs share some edges and not
+    others."""
+    n = draw(st.integers(2, 10))
+    m = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    upper = np.triu(rng.random((n, n)) < 0.6, k=1)
+    graphs = []
+    for _ in range(m):
+        W = np.triu(rng.uniform(0.1, 2.0, size=(n, n)), k=1) * (upper & (rng.random((n, n)) < 0.7))
+        graphs.append(BaseGraph.from_weights(GraphSpec("cosine", 1), W + W.T))
+    return GraphPool(tuple(graphs), "test", 1), rng
+
+
+@given(drawn=overlapping_pools(), cols=st.sampled_from(["one", "C", "N"]))
+@settings(max_examples=80, deadline=None)
+def test_smoothness_terms_equal_dense_traces(drawn, cols):
+    pool, rng = drawn
+    width = {"one": 1, "C": 3, "N": pool.n}[cols]
+    F = rng.normal(size=(pool.n, width))
+    e = smoothness_terms(pool, F)
+    for m, g in enumerate(pool.graphs):
+        manual = np.trace(F.T @ g.laplacian().toarray() @ F)
+        assert abs(e[m] - manual) <= 1e-12 * abs(manual)
+    assert np.array_equal(smoothness_terms(pool, F[:, 0]), smoothness_terms(pool, F[:, :1]))
 
 
 def test_smoothness_terms_match_quadratic_forms():
