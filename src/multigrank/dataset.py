@@ -79,8 +79,9 @@ class Dataset:
     def n(self) -> int:
         return len(self.records)
 
-    @property
+    @cached_property
     def ids(self) -> tuple[str, ...]:
+        """Record ids in order, built once per dataset."""
         return tuple(rec.id for rec in self.records)
 
     @cached_property

@@ -54,8 +54,42 @@ class BaseGraph:
         return self.weights.shape[0]
 
     def laplacian(self) -> sp.csr_matrix:
-        """L = D - W, materialized on demand."""
-        return (sp.diags(self.degrees) - self.weights).tocsr()
+        """L = D - W, materialized on demand.
+
+        For W in canonical form (sorted rows, no duplicates) each row's
+        degree is inserted in place among its sorted entries, merged with a
+        diagonal weight if W has one; entries that come to 0 are dropped, as
+        sparse subtraction drops them.  Other W are subtracted as sparse
+        matrices.
+        """
+        W = self.weights
+        if not W.has_canonical_format:
+            return (sp.diags(self.degrees) - W).tocsr()
+        n = self.n
+        nodes = np.arange(n)
+        rows = np.repeat(nodes, np.diff(W.indptr))
+        own = W.indices == rows
+        diag = self.degrees.copy()
+        diag[rows[own]] -= W.data[own]
+        vals = 0.0 - W.data
+        vals[own] = 0.0  # merged into the diagonal, so dropped below
+        # one more slot per row, after the row's entries left of the diagonal
+        left = np.concatenate(([0], np.cumsum(W.indices < rows)))[W.indptr]
+        indptr = W.indptr + np.arange(n + 1)
+        at = indptr[:-1] + np.diff(left)
+        slots = np.ones(W.nnz + n, dtype=bool)
+        slots[at] = False
+        indices = np.empty(W.nnz + n, dtype=W.indices.dtype)
+        indices[at] = nodes
+        indices[slots] = W.indices
+        data = np.empty(W.nnz + n)
+        data[at] = diag
+        data[slots] = vals
+        keep = data != 0
+        if not keep.all():
+            indptr = np.concatenate(([0], np.cumsum(keep)))[indptr]
+            indices, data = indices[keep], data[keep]
+        return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
     @classmethod
     def from_weights(cls, spec: GraphSpec, weights) -> "BaseGraph":
@@ -447,14 +481,27 @@ def extend_graph(graph: BaseGraph, ds: Dataset, x0) -> BaseGraph:
         )
     if graph.n != X.shape[0]:
         raise ValueError("graph and dataset have different node counts")
-    nbrs = _first_k(-_closeness(x0, X, graph.spec)[None, :], graph.spec.k)[0]
+    nbrs = np.sort(_first_k(-_closeness(x0, X, graph.spec)[None, :], graph.spec.k)[0])
     w = np.maximum(edge_weight(x0, X[nbrs], graph.spec), 0.0)
-    base = graph.weights.tocoo()
-    n1 = graph.n + 1
-    rows = np.concatenate([np.zeros(len(nbrs), dtype=int), nbrs + 1, base.row + 1])
-    cols = np.concatenate([nbrs + 1, np.zeros(len(nbrs), dtype=int), base.col + 1])
-    vals = np.concatenate([w, w, base.data])
-    return BaseGraph.from_weights(graph.spec, sp.csr_matrix((vals, (rows, cols)), shape=(n1, n1)))
+    # built from the base CSR arrays: row 0 holds the query's edges, and each
+    # neighbour's row gains column 0 at its front, where it sorts
+    base = graph.weights
+    n = graph.n
+    k = len(nbrs)
+    at = base.indptr[nbrs]
+    attached = np.concatenate(([0], np.cumsum(np.bincount(nbrs, minlength=n))))
+    weights = sp.csr_matrix(
+        (
+            np.concatenate((w, np.insert(base.data, at, w))),
+            np.concatenate((nbrs + 1, np.insert(base.indices + 1, at, 0))),
+            np.concatenate(([0], k + base.indptr + attached)),
+        ),
+        shape=(n + 1, n + 1),
+    )
+    # a base with unsorted rows or duplicates is sorted and summed as a
+    # coordinate-format build would; a canonical one is left as it is
+    weights.sum_duplicates()
+    return BaseGraph.from_weights(graph.spec, weights)
 
 
 def median_pairwise_distance(X: np.ndarray) -> float:

@@ -10,8 +10,9 @@ Online: extend every pooled graph with the query as node 0, combine the
 extended Laplacians with the learned mu, and solve
 ``(U + alpha L + ridge I) f = U y`` with U = diag(1, 0, ..., 0).  The
 database block ``alpha L_db + ridge I`` of that system is the same for every
-query, so it is factored once per pool and weights, and each query is solved
-against the factor by a low-rank update on the rows its edges touch.
+query, so it is inverted once per pool and weights, and each query is solved
+by a low-rank update on the rows its edges touch, which reads only those
+columns of the inverse.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.linalg import lapack
 from scipy.sparse.linalg import cg as sparse_cg
 
 from .dataset import Dataset, RelevanceMatrix, dataset_fingerprint
@@ -45,7 +47,9 @@ SINGULAR_MSG = (
 
 
 class SingularSystemError(RuntimeError):
-    """The online/offline linear system has no unique solution at ridge = 0."""
+    """A ranking or training system could not be solved to RESIDUAL_TOL: an
+    online system singular at ridge = 0, or a training system too
+    ill-conditioned for float64."""
 
 
 @dataclass(frozen=True)
@@ -186,15 +190,24 @@ def _solve_spd(A, rhs, dense_limit: int = DENSE_SOLVE_LIMIT) -> np.ndarray:
     return x
 
 
-def _bordered_solve(L, y0: float, alpha: float, ridge: float, frozen):
-    """Solve (e0 e0' + alpha L + ridge I) f = y0 e0 from the frozen factor.
+def _inverse_columns(inv: np.ndarray, T: np.ndarray) -> np.ndarray:
+    """Columns ``T`` of the symmetric matrix held in the lower triangle of
+    ``inv``: entry (i, t) is ``inv[i, t]`` for i >= t and ``inv[t, i]`` above
+    the diagonal."""
+    below = np.arange(inv.shape[0])[:, None] >= T
+    return np.where(below, inv[:, T], inv[T, :].T)
 
-    ``L`` is an extended Laplacian with the query as node 0 and ``frozen`` the
-    Cholesky factor of ``K = alpha L_db + ridge I``, where ``L_db`` is the
-    database block of ``L`` without the query's edges.  With w the query's
-    edge weights, the database block of the system is
+
+def _bordered_solve(L, y0: float, alpha: float, ridge: float, inv: np.ndarray):
+    """Solve (e0 e0' + alpha L + ridge I) f = y0 e0 from the frozen inverse.
+
+    ``L`` is an extended Laplacian with the query as node 0 and ``inv`` holds
+    ``K^-1`` for ``K = alpha L_db + ridge I`` in its lower triangle, where
+    ``L_db`` is the database block of ``L`` without the query's edges.  With w
+    the query's edge weights, the database block of the system is
     ``B = K + alpha diag(w)``, an update of K on the rows T that w touches.
-    Woodbury gives ``B^-1 w = Q t`` with ``Q = K^-1 E_T``,
+    Woodbury gives ``B^-1 w = Q t`` with ``Q = K^-1 E_T``, the columns T of
+    the inverse gathered from its lower triangle, and
     ``(diag(1 / (alpha w_T)) + Q[T]) t = 1 / alpha``, solved here in the
     symmetric form scaled by ``sqrt(alpha w_T)``.  The query row then gives
     f0, and ``f_db = alpha f0 B^-1 w``.
@@ -208,9 +221,7 @@ def _bordered_solve(L, y0: float, alpha: float, ridge: float, frozen):
     T = np.flatnonzero(row[1:] < 0)
     w_T = -row[1:][T]
     a00 = 1.0 + alpha * row[0] + ridge
-    E = np.zeros((L.shape[0] - 1, T.size))
-    E[T, np.arange(T.size)] = 1.0
-    Q = scipy.linalg.cho_solve(frozen, E, check_finite=False)
+    Q = _inverse_columns(inv, T)
     sw = np.sqrt(alpha * w_T)
     M = np.eye(T.size) + sw[:, None] * Q[T] * sw[None, :]
     Bw = Q @ (sw * np.linalg.solve(M, sw / alpha))
@@ -232,11 +243,12 @@ def grank_solve(L, u, y, alpha: float, ridge: float = 0.0,
     that are known.  With ridge = 0 this is the exact closed form; a positive
     ridge keeps the system nonsingular when the graph is disconnected.
 
-    ``frozen`` is an optional Cholesky factor (as ``scipy.linalg.cho_factor``
-    returns it) of ``alpha L_db + ridge I``, with ``L_db`` the block of ``L``
-    past node 0 less the edges of node 0; it needs u = e0.  The system is then
-    solved by a low-rank update of that factor, and by the direct path if
-    that result fails the residual check.
+    ``frozen`` is an optional (N-1) x (N-1) array holding, in its lower
+    triangle, the inverse of ``alpha L_db + ridge I``, with ``L_db`` the block
+    of ``L`` past node 0 less the edges of node 0; its upper triangle is not
+    read.  It needs u = e0.  The system is then solved by a low-rank update of
+    that inverse, and by the direct path if that result fails the residual
+    check.
     """
     u = np.asarray(u, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -245,9 +257,9 @@ def grank_solve(L, u, y, alpha: float, ridge: float = 0.0,
         raise ValueError("grank_solve: dimension mismatch between L, u, y")
     if frozen is not None:
         if u[0] != 1.0 or u[1:].any():
-            raise ValueError("grank_solve: a frozen factor needs u = e0")
-        if frozen[0].shape != (n - 1, n - 1):
-            raise ValueError("grank_solve: frozen factor does not match the database block")
+            raise ValueError("grank_solve: a frozen inverse needs u = e0")
+        if frozen.shape != (n - 1, n - 1):
+            raise ValueError("grank_solve: frozen inverse does not match the database block")
         f = _bordered_solve(L, float(y[0]), alpha, ridge, frozen)
         if f is not None:
             return f
@@ -307,18 +319,38 @@ def _column_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", a, b)
 
 
+def _training_failure(rel: np.ndarray, diag: np.ndarray) -> SingularSystemError:
+    """Error for a training solve that missed RESIDUAL_TOL.
+
+    ``diag`` is the diagonal ``1 + alpha deg`` of ``I + alpha L``, whose
+    eigenvalues lie in [1, 1 + 2 alpha d_max]: the system is never singular
+    for finite weights, but float64 can miss the residual bound once that
+    spread is well past ``RESIDUAL_TOL / eps`` (4.5e7).
+    """
+    return SingularSystemError(
+        f"training solve (I + alpha L) F = Y failed: relative residual {rel.max():.3g} "
+        f"exceeds {RESIDUAL_TOL:g}; the eigenvalues of I + alpha L reach "
+        f"1 + 2 alpha d_max = {2.0 * diag.max() - 1.0:.3g}, too wide a spread to solve "
+        "in float64 to that residual; lower alpha or scale the graph weights down"
+    )
+
+
 def _block_cg(A, diag: np.ndarray, B: np.ndarray, X0=None) -> tuple[np.ndarray, int]:
     """Jacobi-preconditioned conjugate gradients on every column of B at once.
 
     Column c stops once its residual is within TRAIN_CG_RTOL of ``|B[:, c]|``;
     a zero column is solved by 0.  Starts from ``X0`` when given.  Returns the
-    solution and the number of steps taken.  Raises SingularSystemError past
-    20 N steps, or when the result is not finite or its true relative
-    residual exceeds RESIDUAL_TOL.
+    solution and the number of steps taken.  Raises SingularSystemError, with
+    the message of ``_training_failure``, past 20 N steps or when the true
+    relative residual of the result exceeds RESIDUAL_TOL.
     """
     n, c = B.shape
     X = np.zeros((n, c)) if X0 is None else np.array(X0, dtype=np.float64)
     norms = np.linalg.norm(B, axis=0)
+
+    def residual():
+        return np.linalg.norm(A @ X - B, axis=0) / np.where(norms > 0, norms, 1.0)
+
     tol = TRAIN_CG_RTOL * norms
     X[:, norms == 0] = 0.0
     R = B - A @ X
@@ -332,7 +364,7 @@ def _block_cg(A, diag: np.ndarray, B: np.ndarray, X0=None) -> tuple[np.ndarray, 
         if not active.any():
             break
         if steps == 20 * n:
-            raise SingularSystemError(SINGULAR_MSG)
+            raise _training_failure(residual(), diag)
         AP = A @ P
         step = np.divide(rz, _column_dots(P, AP), out=np.zeros(c), where=active)
         X += step * P
@@ -343,12 +375,11 @@ def _block_cg(A, diag: np.ndarray, B: np.ndarray, X0=None) -> tuple[np.ndarray, 
         P += Z
         rz = rz_next
         steps += 1
-    if not np.all(np.isfinite(X)):
-        raise SingularSystemError(SINGULAR_MSG)
-    rel = np.linalg.norm(A @ X - B, axis=0) / np.where(norms > 0, norms, 1.0)
-    # NaN residuals stop the loop as if converged; this comparison rejects them
+    rel = residual()
+    # NaN residuals stop the loop as if converged, and a result that is not
+    # finite leaves a residual that is not; this comparison rejects both
     if not (rel <= RESIDUAL_TOL).all():
-        raise SingularSystemError(SINGULAR_MSG)
+        raise _training_failure(rel, diag)
     return X, steps
 
 
@@ -463,31 +494,35 @@ def train_offline(pool: GraphPool, Y, params: HyperParams) -> RankModel:
 
 def _frozen_factor(pool: GraphPool, active: np.ndarray, mu: np.ndarray,
                    alpha: float, ridge: float):
-    """Cholesky factor of the frozen database block ``alpha L_db + ridge I``.
+    """Inverse of the frozen database block ``K = alpha L_db + ridge I``, in
+    the lower triangle of an N x N Fortran-order array.
 
-    ``L_db`` combines the pool's graphs ``active`` with weights ``mu``.  The
-    pool holds one factor, for the last (active, mu, alpha, ridge) asked
-    for, and replaces it when they change.  None where the factored path does
-    not apply: ridge 0 (the block is singular, a Laplacian has the constant
-    vector in its null space), an extended system past DENSE_SOLVE_LIMIT
-    (solved by CG), or a block Cholesky cannot factor.
+    ``L_db`` combines the pool's graphs ``active`` with weights ``mu``.  K is
+    densified once, Cholesky-factored in place and inverted in place from its
+    factor (LAPACK ``potrf`` then ``potri``), so no second N x N array is
+    formed; the upper triangle keeps K's entries.  The pool holds one
+    inverse, for the last (active, mu, alpha, ridge) asked for, and replaces
+    it when they change.  None where the inverse path does not apply: ridge 0
+    (the block is singular, a Laplacian has the constant vector in its null
+    space), an extended system past DENSE_SOLVE_LIMIT (solved by CG), or a
+    block Cholesky cannot factor.
     """
     if not ridge > 0 or pool.n + 1 > DENSE_SOLVE_LIMIT:
         return None
     key = (active.tobytes(), mu.tobytes(), alpha, ridge)
-    cached = getattr(pool, "_online_factor", None)
+    cached = getattr(pool, "_online_inverse", None)
     if cached is not None and cached[0] == key:
         return cached[1]
-    pool._online_factor = None  # drop the old factor before building the new one
+    pool._online_inverse = None  # drop the old inverse before building the new one
     K = combine_laplacians([pool.graphs[i] for i in active], mu).toarray(order="F")
     K *= alpha
     K[np.diag_indices_from(K)] += ridge
-    try:
-        factor = scipy.linalg.cho_factor(K, lower=True, overwrite_a=True, check_finite=False)
-    except scipy.linalg.LinAlgError:
-        factor = None
-    pool._online_factor = (key, factor)
-    return factor
+    K, info = lapack.dpotrf(K, lower=1, clean=0, overwrite_a=1)
+    if info == 0:
+        K, info = lapack.dpotri(K, lower=1, overwrite_c=1)
+    inv = K if info == 0 else None
+    pool._online_inverse = (key, inv)
+    return inv
 
 
 def _rank_extended(pool: GraphPool, mu: np.ndarray, ds: Dataset, x0, alpha: float,
@@ -511,7 +546,7 @@ def rank_online(model: RankModel, pool: GraphPool, ds: Dataset, x0,
 
     Extends every pooled graph of nonzero weight with the query as node 0,
     combines the extended Laplacians with the learned weights, and solves the
-    one-known-entry system.  For ridge > 0 the solve reuses a factor of the
+    one-known-entry system.  For ridge > 0 the solve reuses the inverse of the
     frozen database block held on the pool (see ``grank_solve``).
     """
     params = params if params is not None else model.params

@@ -221,6 +221,24 @@ class TestExitCodes:
         assert "ridge" in capsys.readouterr().err
 
 
+    def test_ill_conditioned_training_exit_code(self, tmp_path, capsys):
+        db = tmp_path / "db.csv"
+        rows = [f"{c}{i},{c},{1000.0 * (i + 1)},{500.0 * (3 - i)},{250.0 * i}"
+                for c in "xy" for i in range(3)]
+        db.write_text("id,label,f1,f2,f3\n" + "\n".join(rows) + "\n")
+        pool = tmp_path / "pool.json"
+        assert cli.main([
+            "pool", "--out", str(tmp_path), "--dataset", str(db), "--pool", str(pool),
+            "--schemes", "dot_product", "--k", "2",
+        ]) == 0
+        rc = cli.main([
+            "train", "--out", str(tmp_path), "--dataset", str(db), "--pool", str(pool),
+            "--model", str(tmp_path / "model.json"), "--alpha", "100", "--iters", "2",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "training solve" in err and "ridge" not in err
+
     def test_non_finite_hyperparameter_exit_code(self, tmp_path, workspace, capsys):
         model = tmp_path / "model.json"
         rc = cli.main([

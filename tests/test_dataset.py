@@ -230,6 +230,13 @@ def test_fingerprint_value_is_stable():
     assert dataset_fingerprint(generate_synthetic(5, 120, 32, 1.0, 5.0, 0)) == "7a533fe941f5acac"
 
 
+def test_ids_are_built_once_and_shared_by_rankings():
+    ds = generate_synthetic(2, 4, 3, 1.0, 2.0, 0)
+    assert ds.ids == tuple(rec.id for rec in ds.records)
+    assert ds.ids is ds.ids
+    assert rank_pairwise_baseline(ds, ds.records[0].features).item_ids is ds.ids
+
+
 def test_record_features_are_a_read_only_float64_copy():
     source = np.array([1, 2, 3])
     rec = DomainRecord("a", ("x",), source)

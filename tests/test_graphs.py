@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +24,7 @@ from multigrank.graphs import (
     median_pairwise_distance,
     save_pool,
 )
+from multigrank.graphs import _closeness, _first_k
 
 
 def spec_for(scheme, k, sigma=1.0):
@@ -544,6 +546,100 @@ class TestExtend:
         g = build_graph(ds, spec_for("gaussian", 5, sigma=2.0))
         ext = extend_graph(g, ds, np.array([2.4]))
         assert sorted(ext.weights.getrow(0).indices - 1) == [0, 1, 3, 4, 6]
+
+
+def extend_graph_oracle(graph, ds, x0):
+    """Query extension by a coordinate-format build of the whole (N+1)^2 matrix."""
+    X = ds.feature_matrix
+    x0 = np.asarray(x0, dtype=np.float64).ravel()
+    nbrs = _first_k(-_closeness(x0, X, graph.spec)[None, :], graph.spec.k)[0]
+    w = np.maximum(edge_weight(x0, X[nbrs], graph.spec), 0.0)
+    base = graph.weights.tocoo()
+    n1 = graph.n + 1
+    rows = np.concatenate([np.zeros(len(nbrs), dtype=int), nbrs + 1, base.row + 1])
+    cols = np.concatenate([nbrs + 1, np.zeros(len(nbrs), dtype=int), base.col + 1])
+    vals = np.concatenate([w, w, base.data])
+    return BaseGraph.from_weights(graph.spec, sp.csr_matrix((vals, (rows, cols)), shape=(n1, n1)))
+
+
+def laplacian_oracle(graph):
+    return (sp.diags(graph.degrees) - graph.weights).tocsr()
+
+
+def assert_same_bits(a, b):
+    """Equal CSR arrays, index dtypes and float bits (signed zeros included)."""
+    for name in ("indptr", "indices"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+    assert a.data.dtype == b.data.dtype and a.data.tobytes() == b.data.tobytes()
+
+
+def arbitrary_weights(rng, n, kind):
+    """Weight matrices of every form a BaseGraph may hold: dense or sparse,
+    asymmetric, with explicit zeros, diagonal entries, rows whose only entry
+    is on the diagonal, unsorted rows and duplicate entries."""
+    dense = rng.choice([0.0, 0.0, 0.5, 1.0, 2.0, 1e-3], size=(n, n))
+    dense *= rng.uniform(0.5, 2.0, size=(n, n))
+    if rng.random() < 0.5:
+        dense = dense + dense.T
+    if rng.random() < 0.5:
+        np.fill_diagonal(dense, 0.0)
+    lonely = rng.integers(n)
+    dense[lonely] = 0.0
+    dense[lonely, lonely] = rng.choice([0.0, 1.5])
+    if kind == "dense":
+        return dense
+    rows, cols = np.nonzero(rng.random((n, n)) < 0.6)
+    vals = dense[rows, cols]  # explicit zeros where dense has none
+    if kind == "duplicates":
+        again = rng.integers(len(rows), size=len(rows))
+        rows = np.concatenate([rows, rows[again]])
+        cols = np.concatenate([cols, cols[again]])
+        vals = np.concatenate([vals, rng.uniform(-1.0, 1.0, size=len(again))])
+    # rows stay grouped; unless canonical, the entries of each are shuffled
+    within = cols if kind == "canonical" else rng.random(len(rows))
+    order = np.lexsort((within, rows))
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+    return sp.csr_matrix((vals, cols, indptr), shape=(n, n))
+
+
+class TestCsrAssembly:
+    """extend_graph and BaseGraph.laplacian assemble CSR arrays directly; they
+    must equal, bit for bit, the sparse-format builds they replace."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 12),
+        scheme=st.sampled_from(SCHEMES),
+        kind=st.sampled_from(["canonical", "dense", "unsorted", "duplicates"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_extend_and_laplacian_match_sparse_builds(self, seed, n, scheme, kind):
+        rng = np.random.default_rng(seed)
+        ds = dataset_from_arrays(rng.uniform(0.1, 1.0, size=(n, 3)))
+        spec = spec_for(scheme, int(rng.integers(1, n + 1)))
+        graph = BaseGraph.from_weights(spec, arbitrary_weights(rng, n, kind))
+        assert_same_bits(graph.laplacian(), laplacian_oracle(graph))
+        # half the time a copy of a database point
+        x0 = ds.feature_matrix[rng.integers(n)] if rng.random() < 0.5 else rng.uniform(0.1, 1.0, 3)
+        ext = extend_graph(graph, ds, x0)
+        oracle = extend_graph_oracle(graph, ds, x0)
+        assert_same_bits(ext.weights, oracle.weights)
+        assert ext.degrees.tobytes() == oracle.degrees.tobytes()
+        assert_same_bits(ext.laplacian(), laplacian_oracle(oracle))
+
+    def test_pool_graphs_match_sparse_builds(self):
+        ds = generate_synthetic(3, 20, 4, 1.0, 4.0, 3)
+        pool = build_pool(ds, default_spec_grid(ds))
+        for graph in pool.graphs:
+            assert_same_bits(graph.laplacian(), laplacian_oracle(graph))
+            for x0 in (ds.feature_matrix[7], np.full(4, 0.25)):
+                ext = extend_graph(graph, ds, x0)
+                oracle = extend_graph_oracle(graph, ds, x0)
+                assert_same_bits(ext.weights, oracle.weights)
+                assert ext.degrees.tobytes() == oracle.degrees.tobytes()
+                assert_same_bits(ext.laplacian(), laplacian_oracle(oracle))
 
 
 def test_median_pairwise_distance_hand_case():

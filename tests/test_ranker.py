@@ -275,6 +275,21 @@ class TestTrainOffline:
         obj = offline_objective(pool, F, Y, model.weights, params.alpha, params.beta)
         assert obj <= model.objective_trace[-1] + 1e-9
 
+    def test_ill_conditioned_training_names_the_bound(self):
+        # dot-product weights of ~1e7 with alpha = 100 spread the spectrum of
+        # I + alpha L to ~1e10: nonsingular, but past a 1e-8 residual in float64
+        base = generate_synthetic(2, 6, 3, 1.0, 4.0, 0)
+        ds = dataset_from_arrays(np.abs(base.feature_matrix) * 1e3,
+                                 [rec.label[0] for rec in base.records])
+        pool = build_pool(ds, [GraphSpec("dot_product", 3)])
+        with pytest.raises(SingularSystemError, match="training solve") as err:
+            train_offline(pool, relevance_matrix(ds, 1), HyperParams(alpha=100.0, max_iters=2))
+        message = str(err.value)
+        assert "ridge" not in message
+        assert "relative residual" in message
+        bound = 1.0 + 2.0 * 100.0 * pool.graphs[0].degrees.max()
+        assert f"1 + 2 alpha d_max = {bound:.3g}" in message
+
     def test_early_stop_requires_positive_tol(self):
         ds, pool = small_pool(seed=4)
         Y = relevance_matrix(ds, 1)
@@ -587,6 +602,45 @@ class TestFrozenFactor:
                 for a in rng.permutation(len(arms)):
                     assert np.array_equal(arms[a](pool, x).scores, expected[a][i])
                     assert factors_held() == 1
+
+    def test_all_default_graphs_at_realistic_size(self):
+        # uniform weights over the 14-graph default grid: the database block
+        # couples every scheme's edges, as weights spread over many graphs do
+        from multigrank.graphs import default_spec_grid
+
+        ds = generate_synthetic(4, 100, 8, 1.0, 5.0, 3)
+        pool = build_pool(ds, default_spec_grid(ds))
+        mu = GraphWeights(np.full(pool.m, 1.0 / pool.m))
+        params = HyperParams(alpha=1.0, ridge=1e-8)
+        model = RankModel(mu, params, pool.fingerprint, [])
+        rng = np.random.default_rng(3)
+        queries = [ds.records[5].features, ds.records[250].features + 0.1,
+                   rng.uniform(0.0, 6.0, size=ds.dim)]
+        u = query_selector(ds.n)
+        with pytest.MonkeyPatch.context() as patch:
+            refuse_direct_solve(patch)
+            for x0 in queries:
+                ranked = rank_online(model, pool, ds, x0)
+                L = extended_laplacian(pool, mu.mu, ds, x0).toarray()
+                oracle = np.linalg.inv(np.diag(u + params.ridge) + params.alpha * L) @ u
+                err = np.linalg.norm(ranked.scores - oracle[1:]) / np.linalg.norm(oracle[1:])
+                assert err <= 1e-8
+
+    def test_inverse_columns_on_both_sides_of_the_diagonal(self):
+        from multigrank.ranker import _frozen_factor, _inverse_columns, combine_laplacians
+
+        ds = generate_synthetic(3, 10, 4, 1.0, 4.0, 6)
+        pool = build_pool(ds, [GraphSpec("gaussian", 4, 2.0), GraphSpec("cosine", 3)])
+        active, mu, alpha, ridge = np.arange(2), np.array([0.3, 0.7]), 0.9, 1e-3
+        K = alpha * combine_laplacians(pool.graphs, mu).toarray() + ridge * np.eye(ds.n)
+        inv = _frozen_factor(pool, active, mu, alpha, ridge)
+        # first, last and middle rows, unsorted, so each column has entries
+        # both above and below the diagonal
+        T = np.array([ds.n - 1, 0, ds.n // 2, 7])
+        oracle = np.linalg.inv(K)[:, T]
+        Q = _inverse_columns(inv, T)
+        assert np.abs(Q - oracle).max() <= 1e-10 * np.abs(oracle).max()
+
 
 class TestPairwiseBaseline:
     def test_duplicate_query_ranks_first(self):
