@@ -12,7 +12,6 @@ import dataclasses
 import json
 import re
 import sys
-import types
 import typing
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,6 +20,7 @@ from . import evaluation, graphs, ranker
 from .dataset import (
     dataset_fingerprint,
     generate_synthetic,
+    json_fits,
     load_dataset,
     relevance_matrix,
     save_dataset,
@@ -282,21 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _conforms(value, hint) -> bool:
-    """Whether a JSON config value fits a RunConfig field type (an int is a
-    float; a list is a tuple; a bool is neither an int nor a float)."""
-    if typing.get_origin(hint) in (types.UnionType, typing.Union):
-        return any(_conforms(value, h) for h in typing.get_args(hint))
-    if typing.get_origin(hint) is tuple:
-        item = typing.get_args(hint)[0]
-        return isinstance(value, (list, tuple)) and all(_conforms(v, item) for v in value)
-    if isinstance(value, bool):
-        return hint is bool
-    if hint is float:
-        return isinstance(value, (int, float))
-    return isinstance(value, hint)
-
-
 def _merge_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     raw = vars(args)
@@ -309,7 +294,7 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         for key, value in doc.items():
-            if not _conforms(value, _CONFIG_TYPES[key]):
+            if not json_fits(value, _CONFIG_TYPES[key]):
                 raise ValueError(
                     f"config key {key!r}: expected {_CONFIG_TYPE_NAMES[key]}, "
                     f"got {json.dumps(value)}"

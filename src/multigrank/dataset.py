@@ -10,6 +10,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import types
+import typing
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -137,6 +139,40 @@ def _parse_features(values, row: int) -> np.ndarray:
 
 def _parse_label(raw: str) -> tuple[str, ...]:
     return tuple(str(raw).split(LABEL_SEP))
+
+
+def json_fits(value, hint) -> bool:
+    """Whether a parsed JSON value fits a type hint (an int is a float; a list
+    is a tuple; a bool is neither an int nor a float)."""
+    if typing.get_origin(hint) in (types.UnionType, typing.Union):
+        return any(json_fits(value, h) for h in typing.get_args(hint))
+    if typing.get_origin(hint) is tuple:
+        item = typing.get_args(hint)[0]
+        return isinstance(value, (list, tuple)) and all(json_fits(v, item) for v in value)
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)
+
+
+_HINT_NAMES = {int: "an integer", float: "a number", float | None: "a number or null",
+               str: "a string", list: "a list", dict: "an object",
+               tuple[float, ...]: "a list of numbers"}
+
+
+def json_field(doc, key: str, hint, where: str):
+    """``doc[key]`` of a parsed JSON object, checked to fit ``hint`` (one of
+    ``_HINT_NAMES``) by ``json_fits``.  Raises ValueError, prefixed by
+    ``where``, when ``doc`` is not an object, lacks ``key`` or holds a value
+    of another type there."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where}: expected a JSON object, got {type(doc).__name__}")
+    if key not in doc:
+        raise ValueError(f"{where}: missing field {key!r}")
+    if not json_fits(doc[key], hint):
+        raise ValueError(f"{where}: {key} must be {_HINT_NAMES[hint]}, got {doc[key]!r}")
+    return doc[key]
 
 
 def load_dataset(path, format: str | None = None) -> Dataset:

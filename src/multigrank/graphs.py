@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .dataset import Dataset, dataset_fingerprint
+from .dataset import Dataset, dataset_fingerprint, json_field, json_fits
 
 SCHEMES = ("gaussian", "dot_product", "cosine", "jaccard", "tanimoto")
 
@@ -566,33 +566,23 @@ def save_pool(pool: GraphPool, path) -> None:
         "graphs": graphs,
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))
         fh.write("\n")
 
 
-def _triplet_array(index: int, trip) -> np.ndarray:
-    """(nnz, 3) float array of the stored [i, j, weight] triplets."""
-    try:
-        return np.array(trip, dtype=np.float64).reshape(len(trip), 3)
-    except (TypeError, ValueError):
-        for t in trip:
-            try:
-                ok = np.shape(np.array(t, dtype=np.float64)) == (3,)
-            except (TypeError, ValueError):
-                ok = False
-            if not ok:
-                raise ValueError(
-                    f"pool file corrupt: graph {index} triplet {t!r}: expected [i, j, weight]"
-                ) from None
-        raise
-
-
-def _check_triplets(index: int, n: int, trip, rows, cols, vals) -> None:
-    """Reject weight triplets that do not describe a simple weighted graph."""
+def _triplet_arrays(index: int, n: int, trip):
+    """Rows, columns and weights of the stored [i, j, weight] triplets;
+    rejects triplets that do not describe a simple weighted graph."""
 
     def fail(at, need):
         raise ValueError(f"pool file corrupt: graph {index} triplet {trip[at]!r}: {need}")
 
+    try:
+        rows, cols, vals = np.array(trip, dtype=np.float64).reshape(len(trip), 3).T
+    except (TypeError, ValueError):
+        fail(next(at for at, t in enumerate(trip)
+                  if not (json_fits(t, tuple[float, ...]) and len(t) == 3)),
+             "expected [i, j, weight]")
     bad = np.flatnonzero(~(np.isfinite(vals) & (vals >= 0)))
     if bad.size:
         fail(bad[0], "weight must be finite and >= 0")
@@ -605,34 +595,38 @@ def _check_triplets(index: int, n: int, trip, rows, cols, vals) -> None:
     repeat = np.flatnonzero(keys[order][1:] == keys[order][:-1])
     if repeat.size:
         fail(order[repeat[0] + 1], "edge (i, j) stored more than once")
+    return rows.astype(int), cols.astype(int), vals
 
 
 def load_pool(path) -> GraphPool:
     """Inverse of save_pool."""
+    where = "pool file corrupt"
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("version") != 1:
-        raise ValueError(f"unsupported pool file version: {doc.get('version')!r}")
-    n = int(doc["N"])
-    if doc.get("M") != len(doc["graphs"]):
-        raise ValueError(
-            f"pool file corrupt: header M={doc.get('M')!r} but {len(doc['graphs'])} graphs stored"
-        )
+    if json_field(doc, "version", int, where) != 1:
+        raise ValueError(f"unsupported pool file version: {doc['version']!r}")
+    n = json_field(doc, "N", int, where)
+    stored = json_field(doc, "graphs", list, where)
+    m = json_field(doc, "M", int, where)
+    if m != len(stored):
+        raise ValueError(f"{where}: header M={m!r} but {len(stored)} graphs stored")
+    if not stored:
+        raise ValueError(f"{where}: no graphs stored")
     graphs = []
-    for index, entry in enumerate(doc["graphs"]):
+    for index, entry in enumerate(stored):
+        at = f"{where}: graph {index}"
+        spec_doc = json_field(entry, "spec", dict, at)
         spec = GraphSpec(
-            scheme=entry["spec"]["scheme"],
-            k=int(entry["spec"]["k"]),
-            sigma=entry["spec"]["sigma"],
+            scheme=json_field(spec_doc, "scheme", str, f"{at} spec"),
+            k=json_field(spec_doc, "k", int, f"{at} spec"),
+            sigma=json_field(spec_doc, "sigma", float | None, f"{at} spec"),
         )
         if spec.k > n - 1:
-            raise ValueError(
-                f"pool file corrupt: graph {index} spec k={spec.k} exceeds N-1={n - 1}"
-            )
-        trip = entry["triplets"]
-        if len(trip) != entry["nnz"]:
-            raise ValueError("pool file corrupt: triplet count differs from nnz")
-        rows, cols, vals = _triplet_array(index, trip).T
-        _check_triplets(index, n, trip, rows, cols, vals)
-        graphs.append(_symmetric_graph(spec, n, rows.astype(int), cols.astype(int), vals))
-    return GraphPool(graphs=tuple(graphs), fingerprint=doc["fingerprint"], dim=int(doc["d"]))
+            raise ValueError(f"{at} spec k={spec.k} exceeds N-1={n - 1}")
+        trip = json_field(entry, "triplets", list, at)
+        if len(trip) != json_field(entry, "nnz", int, at):
+            raise ValueError(f"{where}: triplet count differs from nnz")
+        rows, cols, vals = _triplet_arrays(index, n, trip)
+        graphs.append(_symmetric_graph(spec, n, rows, cols, vals))
+    return GraphPool(graphs=tuple(graphs), fingerprint=json_field(doc, "fingerprint", str, where),
+                     dim=json_field(doc, "d", int, where))

@@ -23,19 +23,16 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 from scipy.linalg import lapack
-from scipy.sparse.linalg import cg as sparse_cg
 
-from .dataset import Dataset, RelevanceMatrix, dataset_fingerprint
+from .dataset import Dataset, RelevanceMatrix, dataset_fingerprint, json_field
 from .graphs import GraphPool, extend_graph
 
 # direct factorization below this size, conjugate gradients above
 DENSE_SOLVE_LIMIT = 4096
-CG_RTOL = 1e-10
-# stopping tolerance of the training solve, relative to each column of Y
-TRAIN_CG_RTOL = 1e-14
+# conjugate-gradient stopping tolerance, relative to each right-hand side
+CG_RTOL = 1e-14
 RESIDUAL_TOL = 1e-8
 # elements per (edges, columns) block of score differences in smoothness_terms
 _GATHER_ELEMS = 1 << 20
@@ -91,7 +88,7 @@ class GraphWeights:
         object.__setattr__(self, "mu", mu)
         if mu.ndim != 1 or mu.size < 1:
             raise ValueError("mu must be a non-empty vector")
-        if (mu < 0).any() or abs(mu.sum() - 1.0) > 1e-10:
+        if (mu < 0).any() or not abs(mu.sum() - 1.0) <= 1e-10:
             raise ValueError("mu must lie on the probability simplex")
 
 
@@ -149,45 +146,34 @@ def project_to_simplex(v: np.ndarray) -> np.ndarray:
     return w / w.sum()
 
 
-def _solve_spd(A, rhs, dense_limit: int = DENSE_SOLVE_LIMIT) -> np.ndarray:
-    """Solve A x = rhs for symmetric positive (semi)definite A.
+def _relative_residuals(A, X: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``|A x_c - b_c| / |b_c|`` per column (over 1 for a zero column), NaN where
+    a column of X is not finite; ``(rel <= RESIDUAL_TOL).all()`` rejects NaN."""
+    norms = np.linalg.norm(B, axis=0)
+    rel = np.linalg.norm(A @ X - B, axis=0) / np.where(norms > 0, norms, 1.0)
+    return np.where(np.isfinite(X).all(axis=0), rel, np.nan)
 
-    Direct Cholesky up to ``dense_limit`` rows, conjugate gradients beyond.
-    Raises SingularSystemError when the system is not positive definite or the
-    solution fails the relative-residual contract.
+
+def _solve_spd(A, rhs) -> np.ndarray:
+    """Solve A x = rhs for a sparse symmetric positive (semi)definite A.
+
+    Up to DENSE_SOLVE_LIMIT rows, A is densified and solved by LAPACK Cholesky
+    (``potrf``, then ``potrs``); beyond, by ``_block_cg`` on every column of
+    rhs at once.  Raises SingularSystemError when the factorization meets a
+    pivot that is not positive or the result fails the RESIDUAL_TOL check.
     """
-    rhs = np.asarray(rhs, dtype=np.float64)
-    n = A.shape[0]
-    if n <= dense_limit:
-        # a sparse A is densified into a fresh Fortran-order array, which is
-        # then factored in place rather than copied
-        sparse = sp.issparse(A)
-        dense = A.toarray(order="F") if sparse else np.asarray(A, dtype=np.float64)
-        try:
-            factor = scipy.linalg.cho_factor(
-                dense, lower=True, overwrite_a=sparse, check_finite=False
-            )
-            x = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
-        except scipy.linalg.LinAlgError as exc:
-            raise SingularSystemError(SINGULAR_MSG) from exc
+    B = np.reshape(rhs, (A.shape[0], -1))
+    if A.shape[0] <= DENSE_SOLVE_LIMIT:
+        # densified into a fresh Fortran-order array and factored in place
+        factor, info = lapack.dpotrf(A.toarray(order="F"), lower=1, clean=0, overwrite_a=1)
+        if info != 0:
+            raise SingularSystemError(SINGULAR_MSG)
+        X, _ = lapack.dpotrs(factor, B, lower=1)
     else:
-        A = sp.csr_matrix(A)
-        cols = rhs.reshape(n, -1)
-        out = np.empty_like(cols)
-        for j in range(cols.shape[1]):
-            out[:, j], info = sparse_cg(A, cols[:, j], rtol=CG_RTOL, atol=0.0, maxiter=20 * n)
-            if info != 0:
-                raise SingularSystemError(SINGULAR_MSG)
-        x = out.reshape(rhs.shape)
-    if not np.all(np.isfinite(x)):
+        X, _ = _block_cg(A, A.diagonal(), B)
+    if not (_relative_residuals(A, X, B) <= RESIDUAL_TOL).all():
         raise SingularSystemError(SINGULAR_MSG)
-    resid = A @ x - rhs
-    norms = np.linalg.norm(np.atleast_2d(resid.T), axis=1)
-    denoms = np.linalg.norm(np.atleast_2d(rhs.T), axis=1)
-    rel = norms / np.where(denoms > 0, denoms, 1.0)
-    if (rel > RESIDUAL_TOL).any():
-        raise SingularSystemError(SINGULAR_MSG)
-    return x
+    return X.reshape(np.shape(rhs))
 
 
 def _inverse_columns(inv: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -235,13 +221,14 @@ def _bordered_solve(L, y0: float, alpha: float, ridge: float, inv: np.ndarray):
     return f
 
 
-def grank_solve(L, u, y, alpha: float, ridge: float = 0.0,
-                dense_limit: int = DENSE_SOLVE_LIMIT, frozen=None) -> np.ndarray:
+def grank_solve(L, u, y, alpha: float, ridge: float = 0.0, frozen=None) -> np.ndarray:
     """Single-graph regularized scores: solve (diag(u) + alpha L + ridge I) f = diag(u) y.
 
     ``u`` is the diagonal of the 0/1 selection matrix marking entries of ``y``
     that are known.  With ridge = 0 this is the exact closed form; a positive
-    ridge keeps the system nonsingular when the graph is disconnected.
+    ridge keeps the system nonsingular when the graph is disconnected.  At
+    ridge = 0, a component of the graph with no known entry makes the system
+    singular and raises SingularSystemError before any solve.
 
     ``frozen`` is an optional (N-1) x (N-1) array holding, in its lower
     triangle, the inverse of ``alpha L_db + ridge I``, with ``L_db`` the block
@@ -263,11 +250,15 @@ def grank_solve(L, u, y, alpha: float, ridge: float = 0.0,
         f = _bordered_solve(L, float(y[0]), alpha, ridge, frozen)
         if f is not None:
             return f
-    if sp.issparse(L):
-        A = (alpha * L + sp.diags(u + ridge)).tocsr()
-    else:
-        A = alpha * np.asarray(L, dtype=np.float64) + np.diag(u + ridge)
-    return _solve_spd(A, u * y, dense_limit)
+    A = (alpha * sp.csr_matrix(L) + sp.diags(u + ridge)).tocsr()
+    if ridge == 0:
+        # csgraph imports scipy.sparse.linalg, which only this branch needs
+        from scipy.sparse.csgraph import connected_components
+
+        n_comp, comp = connected_components(A != 0, directed=False)
+        if not np.bincount(comp[u > 0], minlength=n_comp).all():
+            raise SingularSystemError(SINGULAR_MSG)
+    return _solve_spd(A, u * y)
 
 
 def _check_weight_count(mu, graphs) -> None:
@@ -338,33 +329,28 @@ def _training_failure(rel: np.ndarray, diag: np.ndarray) -> SingularSystemError:
 def _block_cg(A, diag: np.ndarray, B: np.ndarray, X0=None) -> tuple[np.ndarray, int]:
     """Jacobi-preconditioned conjugate gradients on every column of B at once.
 
-    Column c stops once its residual is within TRAIN_CG_RTOL of ``|B[:, c]|``;
-    a zero column is solved by 0.  Starts from ``X0`` when given.  Returns the
-    solution and the number of steps taken.  Raises SingularSystemError, with
-    the message of ``_training_failure``, past 20 N steps or when the true
-    relative residual of the result exceeds RESIDUAL_TOL.
+    ``diag`` is the diagonal of the symmetric positive (semi)definite A; a zero
+    entry, a row of A that is all zero, gets preconditioner 1.  Column c stops
+    once its residual is within CG_RTOL of ``|B[:, c]|``; a zero column is
+    solved by 0.  Starts from ``X0`` when given, and gives up after 20 N steps.
+    Returns the solution and the number of steps taken; the caller checks the
+    result with ``_relative_residuals``.
     """
     n, c = B.shape
     X = np.zeros((n, c)) if X0 is None else np.array(X0, dtype=np.float64)
     norms = np.linalg.norm(B, axis=0)
-
-    def residual():
-        return np.linalg.norm(A @ X - B, axis=0) / np.where(norms > 0, norms, 1.0)
-
-    tol = TRAIN_CG_RTOL * norms
+    tol = CG_RTOL * norms
     X[:, norms == 0] = 0.0
     R = B - A @ X
-    inv = 1.0 / diag[:, None]
+    inv = 1.0 / np.where(diag != 0, diag, 1.0)[:, None]
     Z = inv * R
     P = Z.copy()
     rz = _column_dots(R, Z)
     steps = 0
-    while True:
+    while steps < 20 * n:
         active = np.linalg.norm(R, axis=0) > tol
         if not active.any():
             break
-        if steps == 20 * n:
-            raise _training_failure(residual(), diag)
         AP = A @ P
         step = np.divide(rz, _column_dots(P, AP), out=np.zeros(c), where=active)
         X += step * P
@@ -375,11 +361,6 @@ def _block_cg(A, diag: np.ndarray, B: np.ndarray, X0=None) -> tuple[np.ndarray, 
         P += Z
         rz = rz_next
         steps += 1
-    rel = residual()
-    # NaN residuals stop the loop as if converged, and a result that is not
-    # finite leaves a residual that is not; this comparison rejects both
-    if not (rel <= RESIDUAL_TOL).all():
-        raise _training_failure(rel, diag)
     return X, steps
 
 
@@ -392,7 +373,9 @@ def offline_f_update(pool: GraphPool, mu: GraphWeights, Y, alpha: float,
     columns of ``Y`` are solved for, by Jacobi-preconditioned conjugate
     gradients on the pool's edge table; the result has one column per column
     of ``Y``.  ``x0``, shaped like the result, is an optional starting guess,
-    such as the scores of the previous weights.
+    such as the scores of the previous weights.  Raises SingularSystemError,
+    with the message of ``_training_failure``, when the result fails the
+    RESIDUAL_TOL check.
     """
     Z, gid, _ = _relevance_columns(Y)
     B = Z.reshape(pool.n, -1)
@@ -403,6 +386,9 @@ def offline_f_update(pool: GraphPool, mu: GraphWeights, Y, alpha: float,
         X0 = X0.reshape(B.shape)
     A, diag = _training_system(pool, mu.mu, alpha)
     X, _ = _block_cg(A, diag, B, X0)
+    rel = _relative_residuals(A, X, B)
+    if not (rel <= RESIDUAL_TOL).all():
+        raise _training_failure(rel, diag)
     return X.reshape(Z.shape)[..., gid]
 
 
@@ -606,23 +592,22 @@ def save_model(model: RankModel, path) -> None:
 
 def load_model(path) -> RankModel:
     """Inverse of save_model."""
+    where = "model file corrupt"
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("version") != 1:
-        raise ValueError(f"unsupported model file version: {doc.get('version')!r}")
-    iters = doc["T"]
-    if isinstance(iters, bool) or not isinstance(iters, int):
-        raise ValueError(f"model file corrupt: T must be an integer, got {iters!r}")
+    if json_field(doc, "version", int, where) != 1:
+        raise ValueError(f"unsupported model file version: {doc['version']!r}")
     params = HyperParams(
-        alpha=float(doc["alpha"]),
-        beta=float(doc["beta"]),
-        max_iters=iters,
-        ridge=float(doc["ridge"]),
-        tol=float(doc.get("tol", 0.0)),
+        alpha=json_field(doc, "alpha", float, where),
+        beta=json_field(doc, "beta", float, where),
+        max_iters=json_field(doc, "T", int, where),
+        ridge=json_field(doc, "ridge", float, where),
+        tol=json_field(doc, "tol", float, where) if "tol" in doc else 0.0,
     )
     return RankModel(
-        weights=GraphWeights(np.array(doc["mu"], dtype=np.float64)),
+        weights=GraphWeights(json_field(doc, "mu", tuple[float, ...], where)),
         params=params,
-        pool_fingerprint=doc["pool_fingerprint"],
-        objective_trace=[float(v) for v in doc["objective_trace"]],
+        pool_fingerprint=json_field(doc, "pool_fingerprint", str, where),
+        objective_trace=[float(v) for v in json_field(doc, "objective_trace",
+                                                      tuple[float, ...], where)],
     )

@@ -288,6 +288,28 @@ class TestExitCodes:
         assert f"graph 0 spec k={doc['N']} exceeds N-1={doc['N'] - 1}" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    def test_malformed_file_fields_exit_code(self, tmp_path, workspace, capsys):
+        pool_doc = json.loads(workspace["pool"].read_text())
+        pool_doc["graphs"][0]["spec"]["k"] = "3"
+        model_doc = json.loads(workspace["model"].read_text())
+        del model_doc["alpha"]
+        cases = [
+            ("pool", pool_doc, "pool file corrupt: graph 0 spec: k must be an integer, got '3'"),
+            ("pool", [pool_doc], "pool file corrupt: expected a JSON object, got list"),
+            ("model", model_doc, "model file corrupt: missing field 'alpha'"),
+        ]
+        for key, doc, message in cases:
+            bad = tmp_path / f"bad_{key}.json"
+            bad.write_text(json.dumps(doc))
+            files = {"pool": workspace["pool"], "model": workspace["model"], key: bad}
+            rc = cli.main([
+                "rank", "--out", str(tmp_path / "r"), "--dataset", str(workspace["db"]),
+                "--pool", str(files["pool"]), "--model", str(files["model"]),
+                "--queries", str(workspace["queries"]),
+            ])
+            assert rc == 1
+            assert f"error: {message}" in capsys.readouterr().err
+
 
 class TestConfigFile:
     def test_config_with_flag_override(self, tmp_path):

@@ -472,6 +472,30 @@ def _corrupt_k_past_n(doc):
     doc["graphs"][1]["spec"]["k"] = doc["N"]
 
 
+def _corrupt_fractional_k(doc):
+    doc["graphs"][0]["spec"]["k"] = 2.7
+
+
+def _corrupt_string_k(doc):
+    doc["graphs"][1]["spec"]["k"] = "3"
+
+
+def _corrupt_string_sigma(doc):
+    doc["graphs"][0]["spec"]["sigma"] = "x"
+
+
+def _corrupt_missing_n(doc):
+    del doc["N"]
+
+
+def _corrupt_missing_spec(doc):
+    del doc["graphs"][1]["spec"]
+
+
+def _corrupt_no_graphs(doc):
+    doc["M"], doc["graphs"] = 0, []
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
@@ -485,6 +509,12 @@ def _corrupt_k_past_n(doc):
         (_corrupt_graph_count, r"header M=99 but 2 graphs"),
         (_corrupt_short_triplet, r"graph 1 triplet \[\d+, \d+\]: expected \[i, j, weight\]"),
         (_corrupt_k_past_n, r"graph 1 spec k=10 exceeds N-1=9"),
+        (_corrupt_fractional_k, r"graph 0 spec: k must be an integer, got 2\.7"),
+        (_corrupt_string_k, r"graph 1 spec: k must be an integer, got '3'"),
+        (_corrupt_string_sigma, r"graph 0 spec: sigma must be a number or null, got 'x'"),
+        (_corrupt_missing_n, r"pool file corrupt: missing field 'N'"),
+        (_corrupt_missing_spec, r"graph 1: missing field 'spec'"),
+        (_corrupt_no_graphs, r"pool file corrupt: no graphs stored"),
     ],
 )
 def test_load_pool_rejects_corrupt_file(tmp_path, corrupt, message):

@@ -642,6 +642,71 @@ class TestFrozenFactor:
         assert np.abs(Q - oracle).max() <= 1e-10 * np.abs(oracle).max()
 
 
+def offset_clusters():
+    """60 rows in two 4-d clusters 100 apart; a gaussian k=3, sigma=1 graph
+    leaves them two components."""
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(60, 4))
+    X[30:] += 100.0
+    ds = dataset_from_arrays(X, ["a"] * 30 + ["b"] * 30)
+    return ds, build_pool(ds, [GraphSpec("gaussian", 3, 1.0)])
+
+
+def test_ridge_zero_raises_for_a_component_without_the_query():
+    # Cholesky meets a tiny positive pivot here, not a zero one, so only the
+    # component check makes this raise
+    ds, pool = offset_clusters()
+    model = RankModel(GraphWeights(np.array([1.0])), HyperParams(ridge=0.0), pool.fingerprint, [])
+    with pytest.raises(SingularSystemError, match="ridge"):
+        rank_online(model, pool, ds, ds.records[0].features)
+
+
+class TestConjugateGradientPath:
+    """Online ranking with the direct solve forced onto conjugate gradients."""
+
+    @pytest.fixture
+    def cg_calls(self, monkeypatch):
+        import multigrank.ranker as ranker
+
+        calls = []
+        solve = ranker._block_cg
+
+        def counted(*args):
+            calls.append(args[2].shape)
+            return solve(*args)
+
+        monkeypatch.setattr(ranker, "DENSE_SOLVE_LIMIT", 8)
+        monkeypatch.setattr(ranker, "_block_cg", counted)
+        return calls
+
+    def connected_pool(self):
+        ds = generate_synthetic(3, 20, 4, 1.0, 2.0, 5)
+        return ds, build_pool(ds, [GraphSpec("gaussian", 5, 2.0), GraphSpec("cosine", 5),
+                                   GraphSpec("jaccard", 4)])
+
+    @pytest.mark.parametrize("make_pool", ["connected", "two_cluster"])
+    def test_matches_dense_inverse_oracle(self, cg_calls, make_pool):
+        ds, pool = self.connected_pool() if make_pool == "connected" else offset_clusters()
+        mu = GraphWeights(np.full(pool.m, 1.0 / pool.m))
+        params = HyperParams(alpha=0.8, ridge=1e-8)
+        model = RankModel(mu, params, pool.fingerprint, [])
+        u = query_selector(ds.n)
+        for x0 in (ds.records[0].features, ds.records[-1].features + 0.1):
+            ranked = rank_online(model, pool, ds, x0)
+            L = extended_laplacian(pool, mu.mu, ds, x0).toarray()
+            oracle = np.linalg.inv(np.diag(u + params.ridge) + params.alpha * L) @ u
+            err = np.linalg.norm(ranked.scores - oracle[1:]) / np.linalg.norm(oracle[1:])
+            assert err <= 1e-8
+        assert cg_calls == [(ds.n + 1, 1)] * 2
+
+    def test_ridge_zero_raises_on_disconnected_pool(self, cg_calls):
+        ds, pool = offset_clusters()
+        model = RankModel(GraphWeights(np.array([1.0])), HyperParams(ridge=0.0),
+                          pool.fingerprint, [])
+        with pytest.raises(SingularSystemError, match="ridge"):
+            rank_online(model, pool, ds, ds.records[0].features)
+
+
 class TestPairwiseBaseline:
     def test_duplicate_query_ranks_first(self):
         ds = dataset_from_arrays([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
@@ -725,6 +790,44 @@ def test_load_model_rejects_non_integer_iters(tmp_path, value):
     doc["T"] = value
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="T must be an integer"):
+        load_model(path)
+
+
+def _without(key):
+    def edit(doc):
+        del doc[key]
+        return doc
+    return edit
+
+
+def _with(key, value):
+    def edit(doc):
+        doc[key] = value
+        return doc
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_without("alpha"), r"missing field 'alpha'"),
+        (_with("alpha", [1]), r"alpha must be a number, got \[1\]"),
+        (_with("ridge", "1e-8"), r"ridge must be a number, got '1e-8'"),
+        (_with("beta", True), r"beta must be a number, got True"),
+        (lambda doc: [doc], r"expected a JSON object, got list"),
+        (_with("mu", ["0.5", "0.5"]), r"mu must be a list of numbers"),
+        (_with("mu", [float("nan"), 1.0]), r"simplex"),
+        (_with("pool_fingerprint", 7), r"pool_fingerprint must be a string, got 7"),
+        (_with("objective_trace", "1.0"), r"objective_trace must be a list of numbers, got '1.0'"),
+    ],
+)
+def test_load_model_rejects_malformed_fields(tmp_path, edit, message):
+    ds, pool = small_pool()
+    model = train_offline(pool, relevance_matrix(ds, 1), HyperParams(max_iters=2))
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    with pytest.raises(ValueError, match=message):
         load_model(path)
 
 
