@@ -132,7 +132,7 @@ def _parse_features(values, row: int) -> np.ndarray:
     for col, raw in enumerate(values):
         try:
             feats[col] = float(raw)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ValueError(f"unparseable number {raw!r} at row {row}") from None
     return feats
 
@@ -141,9 +141,15 @@ def _parse_label(raw: str) -> tuple[str, ...]:
     return tuple(str(raw).split(LABEL_SEP))
 
 
+# float(int) rounds to nearest, ties to even: from this value up, halfway
+# between the largest finite float64 and 2**1024, it overflows
+_FLOAT_OVERFLOW = 2**1024 - 2**970
+
+
 def json_fits(value, hint) -> bool:
-    """Whether a parsed JSON value fits a type hint (an int is a float; a list
-    is a tuple; a bool is neither an int nor a float)."""
+    """Whether a parsed JSON value fits a type hint (an int is a float when it
+    converts without overflow; a list is a tuple; a bool is neither an int
+    nor a float)."""
     if typing.get_origin(hint) in (types.UnionType, typing.Union):
         return any(json_fits(value, h) for h in typing.get_args(hint))
     if typing.get_origin(hint) is tuple:
@@ -152,7 +158,9 @@ def json_fits(value, hint) -> bool:
     if isinstance(value, bool):
         return hint is bool
     if hint is float:
-        return isinstance(value, (int, float))
+        if isinstance(value, int):
+            return abs(value) < _FLOAT_OVERFLOW
+        return isinstance(value, float)
     return isinstance(value, hint)
 
 

@@ -56,15 +56,12 @@ class BaseGraph:
     def laplacian(self) -> sp.csr_matrix:
         """L = D - W, materialized on demand.
 
-        For W in canonical form (sorted rows, no duplicates) each row's
-        degree is inserted in place among its sorted entries, merged with a
-        diagonal weight if W has one; entries that come to 0 are dropped, as
-        sparse subtraction drops them.  Other W are subtracted as sparse
-        matrices.
+        W is canonical (sorted rows, no duplicates; see ``from_weights``), so
+        each row's degree is inserted in place among its sorted entries,
+        merged with a diagonal weight if W has one; entries that come to 0
+        are dropped, as sparse subtraction drops them.
         """
         W = self.weights
-        if not W.has_canonical_format:
-            return (sp.diags(self.degrees) - W).tocsr()
         n = self.n
         nodes = np.arange(n)
         rows = np.repeat(nodes, np.diff(W.indptr))
@@ -93,8 +90,13 @@ class BaseGraph:
 
     @classmethod
     def from_weights(cls, spec: GraphSpec, weights) -> "BaseGraph":
-        """Wrap an explicit (sparse or dense) symmetric weight matrix."""
+        """Wrap an explicit (sparse or dense) symmetric weight matrix, stored
+        as canonical CSR: a copy with sorted rows and duplicates summed when
+        ``weights`` is not already so, never reordered in place."""
         w = sp.csr_matrix(weights)
+        if not w.has_canonical_format:
+            w = w.copy()
+            w.sum_duplicates()
         return cls(spec=spec, weights=w, degrees=w @ np.ones(w.shape[0]))
 
 
@@ -119,11 +121,7 @@ class EdgeTable:
 
     @classmethod
     def from_graphs(cls, graphs, n: int) -> "EdgeTable":
-        parts = []
-        for graph in graphs:
-            upper = sp.triu(graph.weights, k=1).tocoo()
-            upper.sum_duplicates()
-            parts.append(upper)
+        parts = [sp.triu(graph.weights, k=1).tocoo() for graph in graphs]
         keys = np.concatenate([p.row.astype(np.int64) * n + p.col for p in parts])
         union, edge_of = np.unique(keys, return_inverse=True)
         weights = np.zeros((union.size, len(parts)))
@@ -498,9 +496,6 @@ def extend_graph(graph: BaseGraph, ds: Dataset, x0) -> BaseGraph:
         ),
         shape=(n + 1, n + 1),
     )
-    # a base with unsorted rows or duplicates is sorted and summed as a
-    # coordinate-format build would; a canonical one is left as it is
-    weights.sum_duplicates()
     return BaseGraph.from_weights(graph.spec, weights)
 
 
@@ -579,7 +574,7 @@ def _triplet_arrays(index: int, n: int, trip):
 
     try:
         rows, cols, vals = np.array(trip, dtype=np.float64).reshape(len(trip), 3).T
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         fail(next(at for at, t in enumerate(trip)
                   if not (json_fits(t, tuple[float, ...]) and len(t) == 3)),
              "expected [i, j, weight]")

@@ -10,9 +10,11 @@ Online: extend every pooled graph with the query as node 0, combine the
 extended Laplacians with the learned mu, and solve
 ``(U + alpha L + ridge I) f = U y`` with U = diag(1, 0, ..., 0).  The
 database block ``alpha L_db + ridge I`` of that system is the same for every
-query, so it is inverted once per pool and weights, and each query is solved
-by a low-rank update on the rows its edges touch, which reads only those
-columns of the inverse.
+query; it is assembled on the edge table as the training system is, inverted
+once per pool and weights, and each query is solved by a low-rank update on
+the rows its edges touch, which reads only those columns of the inverse.
+Every other solve, the direct path, runs the training's block conjugate
+gradients on the sparse system.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from scipy.linalg import lapack
 from .dataset import Dataset, RelevanceMatrix, dataset_fingerprint, json_field
 from .graphs import GraphPool, extend_graph
 
-# direct factorization below this size, conjugate gradients above
+# largest extended system (N + 1 rows) whose database block is inverted
+# densely; larger systems take the direct path at every query
 DENSE_SOLVE_LIMIT = 4096
 # conjugate-gradient stopping tolerance, relative to each right-hand side
 CG_RTOL = 1e-14
@@ -157,20 +160,12 @@ def _relative_residuals(A, X: np.ndarray, B: np.ndarray) -> np.ndarray:
 def _solve_spd(A, rhs) -> np.ndarray:
     """Solve A x = rhs for a sparse symmetric positive (semi)definite A.
 
-    Up to DENSE_SOLVE_LIMIT rows, A is densified and solved by LAPACK Cholesky
-    (``potrf``, then ``potrs``); beyond, by ``_block_cg`` on every column of
-    rhs at once.  Raises SingularSystemError when the factorization meets a
-    pivot that is not positive or the result fails the RESIDUAL_TOL check.
+    Every column of rhs is solved at once by ``_block_cg``, preconditioned by
+    A's diagonal.  Raises SingularSystemError when the result fails the
+    RESIDUAL_TOL check.
     """
     B = np.reshape(rhs, (A.shape[0], -1))
-    if A.shape[0] <= DENSE_SOLVE_LIMIT:
-        # densified into a fresh Fortran-order array and factored in place
-        factor, info = lapack.dpotrf(A.toarray(order="F"), lower=1, clean=0, overwrite_a=1)
-        if info != 0:
-            raise SingularSystemError(SINGULAR_MSG)
-        X, _ = lapack.dpotrs(factor, B, lower=1)
-    else:
-        X, _ = _block_cg(A, A.diagonal(), B)
+    X, _ = _block_cg(A, A.diagonal(), B)
     if not (_relative_residuals(A, X, B) <= RESIDUAL_TOL).all():
         raise SingularSystemError(SINGULAR_MSG)
     return X.reshape(np.shape(rhs))
@@ -235,7 +230,8 @@ def grank_solve(L, u, y, alpha: float, ridge: float = 0.0, frozen=None) -> np.nd
     of ``L`` past node 0 less the edges of node 0; its upper triangle is not
     read.  It needs u = e0.  The system is then solved by a low-rank update of
     that inverse, and by the direct path if that result fails the residual
-    check.
+    check.  The direct path solves the sparse system by block conjugate
+    gradients (``_solve_spd``).
     """
     u = np.asarray(u, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -293,14 +289,15 @@ def _relevance_columns(Y):
     return Z, gid, np.bincount(gid)
 
 
-def _training_system(pool: GraphPool, mu: np.ndarray, alpha: float):
-    """``A = I + alpha (D - W)`` for ``W = sum_m mu_m W_m``, as CSR on the
-    edge table's fixed pattern, and its diagonal."""
+def _database_system(pool: GraphPool, mu: np.ndarray, alpha: float, shift: float):
+    """``A = shift I + alpha (D - W)`` for ``W = sum_m mu_m W_m``, as CSR on
+    the edge table's fixed pattern, and its diagonal: the training system at
+    shift 1, the frozen online block at shift ridge."""
     table = pool.edge_table
     n = pool.n
     w = table.weights @ mu
     deg = np.bincount(table.i, w, minlength=n) + np.bincount(table.j, w, minlength=n)
-    diag = 1.0 + alpha * deg
+    diag = shift + alpha * deg
     off = -alpha * w
     data = np.concatenate([diag, off, off])[table.order]
     return sp.csr_matrix((data, table.indices, table.indptr), shape=(n, n)), diag
@@ -384,7 +381,7 @@ def offline_f_update(pool: GraphPool, mu: GraphWeights, Y, alpha: float,
         X0 = np.zeros(Z.shape)
         X0[..., gid] = x0
         X0 = X0.reshape(B.shape)
-    A, diag = _training_system(pool, mu.mu, alpha)
+    A, diag = _database_system(pool, mu.mu, alpha, 1.0)
     X, _ = _block_cg(A, diag, B, X0)
     rel = _relative_residuals(A, X, B)
     if not (rel <= RESIDUAL_TOL).all():
@@ -478,32 +475,29 @@ def train_offline(pool: GraphPool, Y, params: HyperParams) -> RankModel:
     )
 
 
-def _frozen_factor(pool: GraphPool, active: np.ndarray, mu: np.ndarray,
-                   alpha: float, ridge: float):
-    """Inverse of the frozen database block ``K = alpha L_db + ridge I``, in
+def _frozen_factor(pool: GraphPool, mu: np.ndarray, alpha: float, ridge: float):
+    """Inverse of the frozen database block ``K = ridge I + alpha L_db``, in
     the lower triangle of an N x N Fortran-order array.
 
-    ``L_db`` combines the pool's graphs ``active`` with weights ``mu``.  K is
-    densified once, Cholesky-factored in place and inverted in place from its
-    factor (LAPACK ``potrf`` then ``potri``), so no second N x N array is
-    formed; the upper triangle keeps K's entries.  The pool holds one
-    inverse, for the last (active, mu, alpha, ridge) asked for, and replaces
-    it when they change.  None where the inverse path does not apply: ridge 0
-    (the block is singular, a Laplacian has the constant vector in its null
-    space), an extended system past DENSE_SOLVE_LIMIT (solved by CG), or a
-    block Cholesky cannot factor.
+    ``L_db`` combines the pool's graphs with weights ``mu``; K is assembled by
+    ``_database_system``, densified once, Cholesky-factored in place and
+    inverted in place from its factor (LAPACK ``potrf`` then ``potri``), so
+    no second N x N array is formed; the upper triangle keeps K's entries.
+    The pool holds one inverse, for the last (mu, alpha, ridge) asked for, and
+    replaces it when they change.  None where the inverse path does not
+    apply: ridge 0 (the block is singular, a Laplacian has the constant
+    vector in its null space), an extended system past DENSE_SOLVE_LIMIT
+    (the N x N inverse is not held), or a block Cholesky cannot factor.
     """
     if not ridge > 0 or pool.n + 1 > DENSE_SOLVE_LIMIT:
         return None
-    key = (active.tobytes(), mu.tobytes(), alpha, ridge)
+    key = (mu.tobytes(), alpha, ridge)
     cached = getattr(pool, "_online_inverse", None)
     if cached is not None and cached[0] == key:
         return cached[1]
     pool._online_inverse = None  # drop the old inverse before building the new one
-    K = combine_laplacians([pool.graphs[i] for i in active], mu).toarray(order="F")
-    K *= alpha
-    K[np.diag_indices_from(K)] += ridge
-    K, info = lapack.dpotrf(K, lower=1, clean=0, overwrite_a=1)
+    K, _ = _database_system(pool, mu, alpha, ridge)
+    K, info = lapack.dpotrf(K.toarray(order="F"), lower=1, clean=0, overwrite_a=1)
     if info == 0:
         K, info = lapack.dpotri(K, lower=1, overwrite_c=1)
     inv = K if info == 0 else None
@@ -521,7 +515,7 @@ def _rank_extended(pool: GraphPool, mu: np.ndarray, ds: Dataset, x0, alpha: floa
     n1 = L.shape[0]
     u = np.zeros(n1)
     u[0] = 1.0
-    frozen = _frozen_factor(pool, active, mu[active], alpha, ridge)
+    frozen = _frozen_factor(pool, mu, alpha, ridge)
     f = grank_solve(L, u, u.copy(), alpha, ridge, frozen=frozen)
     return make_ranked(query_id, f[1:], ds.ids)
 

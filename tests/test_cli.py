@@ -291,12 +291,18 @@ class TestExitCodes:
     def test_malformed_file_fields_exit_code(self, tmp_path, workspace, capsys):
         pool_doc = json.loads(workspace["pool"].read_text())
         pool_doc["graphs"][0]["spec"]["k"] = "3"
+        huge_pool = json.loads(workspace["pool"].read_text())
+        huge_pool["graphs"][0]["triplets"][0][2] = 10**400
         model_doc = json.loads(workspace["model"].read_text())
+        huge_model = dict(model_doc, alpha=10**400)
         del model_doc["alpha"]
         cases = [
             ("pool", pool_doc, "pool file corrupt: graph 0 spec: k must be an integer, got '3'"),
             ("pool", [pool_doc], "pool file corrupt: expected a JSON object, got list"),
+            ("pool", huge_pool, "pool file corrupt: graph 0 triplet "
+                                f"{huge_pool['graphs'][0]['triplets'][0]}: expected [i, j, weight]"),
             ("model", model_doc, "model file corrupt: missing field 'alpha'"),
+            ("model", huge_model, f"model file corrupt: alpha must be a number, got {10**400}"),
         ]
         for key, doc, message in cases:
             bad = tmp_path / f"bad_{key}.json"
@@ -337,6 +343,7 @@ class TestConfigFile:
             ({"ridge": True}, "ridge"),
             ({"k_values": [3, "5"]}, "k_values"),
             ({"pool": 7}, "pool"),
+            ({"alpha": 10**400}, "alpha"),
         ],
     )
     def test_mistyped_config_value(self, tmp_path, workspace, capsys, doc, key):

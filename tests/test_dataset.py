@@ -68,6 +68,14 @@ class TestLoad:
         with pytest.raises(ValueError, match="format"):
             load_dataset(_write(tmp_path, "db.xml", "<x/>"))
 
+    def test_json_number_past_float_range(self, tmp_path):
+        doc = [
+            {"id": "a", "label": "x", "features": [1.0, 2.0]},
+            {"id": "b", "label": "z", "features": [3.0, 10**400]},
+        ]
+        with pytest.raises(ValueError, match="unparseable number 10{400} at row 2"):
+            load_dataset(_write(tmp_path, "db.json", json.dumps(doc)))
+
     def test_json_basic(self, tmp_path):
         doc = [
             {"id": "a", "label": "x/y", "features": [1.0, 2.0]},

@@ -496,6 +496,10 @@ def _corrupt_no_graphs(doc):
     doc["M"], doc["graphs"] = 0, []
 
 
+def _corrupt_overflowing_weight(doc):
+    doc["graphs"][0]["triplets"][0][2] = 10**400
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
@@ -515,6 +519,7 @@ def _corrupt_no_graphs(doc):
         (_corrupt_missing_n, r"pool file corrupt: missing field 'N'"),
         (_corrupt_missing_spec, r"graph 1: missing field 'spec'"),
         (_corrupt_no_graphs, r"pool file corrupt: no graphs stored"),
+        (_corrupt_overflowing_weight, r"graph 0 triplet \[\d+, \d+, 10{400}\]: expected \[i, j"),
     ],
 )
 def test_load_pool_rejects_corrupt_file(tmp_path, corrupt, message):
@@ -676,6 +681,19 @@ def test_median_pairwise_distance_hand_case():
     X = np.array([[0.0], [1.0], [3.0]])
     # pairwise distances 1, 3, 2 -> median 2
     assert median_pairwise_distance(X) == 2.0
+
+
+def test_from_weights_stores_canonical_copy():
+    # unsorted rows with a duplicate entry: stored sorted and summed, while
+    # the caller's arrays stay as they were
+    W = sp.csr_matrix((np.array([1.0, 2.0, 0.5, 2.0]), np.array([2, 1, 2, 0]),
+                       np.array([0, 3, 4, 4])), shape=(3, 3))
+    before = [a.copy() for a in (W.data, W.indices, W.indptr)]
+    g = BaseGraph.from_weights(spec_for("gaussian", 1), W)
+    assert g.weights.has_canonical_format
+    assert np.array_equal(g.weights.toarray(), W.toarray())
+    for a, b in zip((W.data, W.indices, W.indptr), before):
+        assert np.array_equal(a, b)
 
 
 def test_from_weights_matches_build():

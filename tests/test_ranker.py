@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -631,9 +632,9 @@ class TestFrozenFactor:
 
         ds = generate_synthetic(3, 10, 4, 1.0, 4.0, 6)
         pool = build_pool(ds, [GraphSpec("gaussian", 4, 2.0), GraphSpec("cosine", 3)])
-        active, mu, alpha, ridge = np.arange(2), np.array([0.3, 0.7]), 0.9, 1e-3
+        mu, alpha, ridge = np.array([0.3, 0.7]), 0.9, 1e-3
         K = alpha * combine_laplacians(pool.graphs, mu).toarray() + ridge * np.eye(ds.n)
-        inv = _frozen_factor(pool, active, mu, alpha, ridge)
+        inv = _frozen_factor(pool, mu, alpha, ridge)
         # first, last and middle rows, unsorted, so each column has entries
         # both above and below the diagonal
         T = np.array([ds.n - 1, 0, ds.n // 2, 7])
@@ -662,7 +663,9 @@ def test_ridge_zero_raises_for_a_component_without_the_query():
 
 
 class TestConjugateGradientPath:
-    """Online ranking with the direct solve forced onto conjugate gradients."""
+    """Online ranking on the direct path, block conjugate gradients: lowering
+    DENSE_SOLVE_LIMIT below N + 1 keeps the pool from inverting its database
+    block, so every query is solved there."""
 
     @pytest.fixture
     def cg_calls(self, monkeypatch):
@@ -705,6 +708,46 @@ class TestConjugateGradientPath:
                           pool.fingerprint, [])
         with pytest.raises(SingularSystemError, match="ridge"):
             rank_online(model, pool, ds, ds.records[0].features)
+
+    @pytest.mark.parametrize("ridge", [0.0, 1e-8])
+    def test_direct_path_makes_no_lapack_call(self, monkeypatch, ridge):
+        import multigrank.ranker as ranker
+
+        class Refuse:
+            def __getattr__(self, name):
+                raise AssertionError(f"lapack.{name} called on the direct path")
+
+        monkeypatch.setattr(ranker, "lapack", Refuse())
+        ds, pool = self.connected_pool()
+        mu = np.array([0.2, 0.5, 0.3])
+        u = query_selector(ds.n)
+        for x0 in (ds.records[3].features, ds.records[-1].features + 0.2):
+            L = extended_laplacian(pool, mu, ds, x0)
+            f = grank_solve(L, u, u.copy(), alpha=0.8, ridge=ridge, frozen=None)
+            oracle = np.linalg.inv(np.diag(u + ridge) + 0.8 * L.toarray()) @ u
+            assert np.linalg.norm(f - oracle) / np.linalg.norm(oracle) <= 1e-8
+
+    def test_chain_graph_within_the_step_cap(self, monkeypatch):
+        # a path graph is CG's slow case: its spectrum spreads as 1/N^2, and
+        # at ridge 0 the exact scores are all ones, since L 1 = 0
+        import multigrank.ranker as ranker
+
+        n = 400 + 1  # the query and a database of 400
+        steps = []
+        solve = ranker._block_cg
+
+        def counted(*args):
+            X, taken = solve(*args)
+            steps.append(taken)
+            return X, taken
+
+        monkeypatch.setattr(ranker, "_block_cg", counted)
+        W = sp.diags([np.ones(n - 1), np.ones(n - 1)], [-1, 1], format="csr")
+        L = sp.diags(np.asarray(W.sum(axis=1)).ravel()) - W
+        u = query_selector(n - 1)
+        f = grank_solve(L, u, u.copy(), alpha=1.0, ridge=0.0)
+        assert len(steps) == 1 and steps[0] < 20 * n
+        assert np.abs(f - 1.0).max() <= 1e-10
 
 
 class TestPairwiseBaseline:
@@ -819,6 +862,7 @@ def _with(key, value):
         (_with("mu", [float("nan"), 1.0]), r"simplex"),
         (_with("pool_fingerprint", 7), r"pool_fingerprint must be a string, got 7"),
         (_with("objective_trace", "1.0"), r"objective_trace must be a list of numbers, got '1.0'"),
+        (_with("alpha", 10**400), r"alpha must be a number, got 10{400}$"),
     ],
 )
 def test_load_model_rejects_malformed_fields(tmp_path, edit, message):
