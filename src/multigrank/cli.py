@@ -3,6 +3,8 @@
 Every command reads an optional JSON config (``--config``) whose keys mirror
 RunConfig; explicit flags win over the config file, which wins over defaults.
 Exit codes: 0 success, 1 validation error, 2 numerical failure, 3 I/O error.
+Each command imports the modules it runs when it starts, so ``gen`` loads
+numpy alone and no command loads scipy.linalg before its first query.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import typing
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import evaluation, graphs, ranker
 from .dataset import (
     dataset_fingerprint,
     generate_synthetic,
@@ -26,6 +27,7 @@ from .dataset import (
     save_dataset,
     split_queries,
 )
+from .specs import SCHEMES
 
 
 @dataclass
@@ -37,7 +39,7 @@ class RunConfig:
     pool: str | None = None
     model: str | None = None
     out: str = "out"
-    schemes: tuple[str, ...] = graphs.SCHEMES
+    schemes: tuple[str, ...] = SCHEMES
     k_values: tuple[int, ...] = (5, 10)
     sigma_multipliers: tuple[float, ...] = (0.5, 1.0, 2.0)
     alpha: float = 1.0
@@ -90,6 +92,8 @@ def _out_dir(cfg: RunConfig) -> Path:
 
 
 def _load_checked_pool(cfg: RunConfig, ds):
+    from . import graphs
+
     pool = graphs.load_pool(_require(cfg.pool, "pool"))
     if pool.fingerprint != dataset_fingerprint(ds):
         raise ValueError(
@@ -117,6 +121,8 @@ def cmd_gen(cfg: RunConfig) -> None:
 
 def cmd_pool(cfg: RunConfig) -> None:
     """Build the candidate graph pool over the spec grid and persist it."""
+    from . import graphs
+
     ds = load_dataset(_require(cfg.dataset, "dataset"))
     specs = graphs.default_spec_grid(ds, cfg.schemes, cfg.k_values, cfg.sigma_multipliers)
     pool = graphs.build_pool(ds, specs)
@@ -127,6 +133,8 @@ def cmd_pool(cfg: RunConfig) -> None:
 
 def cmd_train(cfg: RunConfig) -> None:
     """Learn graph weights offline and persist the model."""
+    from . import ranker
+
     ds = load_dataset(_require(cfg.dataset, "dataset"))
     pool = _load_checked_pool(cfg, ds)
     relevance = relevance_matrix(ds, cfg.level)
@@ -143,6 +151,8 @@ def cmd_train(cfg: RunConfig) -> None:
 
 
 def _make_arm(cfg: RunConfig, ds, pool, model):
+    from . import ranker
+
     if cfg.baseline == "multig":
         return lambda q: ranker.rank_online(model, pool, ds, q.features, model.params, q.id)
     if cfg.baseline == "grank":
@@ -156,6 +166,8 @@ def _make_arm(cfg: RunConfig, ds, pool, model):
 
 def cmd_rank(cfg: RunConfig) -> None:
     """Rank the database against every query; one TSV per query."""
+    from . import ranker
+
     ds = load_dataset(_require(cfg.dataset, "dataset"))
     queries = load_dataset(_require(cfg.queries, "queries"))
     pool = model = None
@@ -174,6 +186,8 @@ def cmd_rank(cfg: RunConfig) -> None:
 
 def cmd_eval(cfg: RunConfig) -> None:
     """Evaluate all arms over the query set; reports, curves and a summary table."""
+    from . import evaluation, ranker
+
     ds = load_dataset(_require(cfg.dataset, "dataset"))
     queries = load_dataset(_require(cfg.queries, "queries"))
     pool = _load_checked_pool(cfg, ds)
@@ -249,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pool", parents=[common], help="build the candidate graph pool")
     p.add_argument("--dataset")
     p.add_argument("--pool", help="output pool file (default: <out>/pool.json)")
-    p.add_argument("--schemes", nargs="+", choices=graphs.SCHEMES)
+    p.add_argument("--schemes", nargs="+", choices=SCHEMES)
     p.add_argument("--k", nargs="+", type=int, dest="k_values")
     p.add_argument("--sigma-multipliers", nargs="+", type=float)
 
@@ -319,7 +333,13 @@ def main(argv=None) -> int:
         return 1
     try:
         _COMMANDS[args.command](_merge_config(args))
-    except ranker.SingularSystemError as exc:
+    except RuntimeError as exc:
+        # only the ranker raises SingularSystemError: a command that raised
+        # one has loaded it already
+        from .ranker import SingularSystemError
+
+        if not isinstance(exc, SingularSystemError):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

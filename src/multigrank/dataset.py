@@ -132,7 +132,9 @@ def _parse_features(values, row: int) -> np.ndarray:
     for col, raw in enumerate(values):
         try:
             feats[col] = float(raw)
-        except (TypeError, ValueError, OverflowError):
+        except OverflowError:  # a JSON integer; a CSV string overflows to inf
+            raise ValueError(f"number {json_text(raw)} out of float range at row {row}") from None
+        except (TypeError, ValueError):
             raise ValueError(f"unparseable number {raw!r} at row {row}") from None
     return feats
 
@@ -162,6 +164,18 @@ def json_fits(value, hint) -> bool:
             return abs(value) < _FLOAT_OVERFLOW
         return isinstance(value, float)
     return isinstance(value, hint)
+
+
+def json_text(value) -> str:
+    """repr of a parsed JSON value for a message, with each integer longer
+    than 20 characters cut to its first 20 plus its digit count: an integer
+    out of float range has hundreds of digits."""
+    if isinstance(value, list):
+        return "[" + ", ".join(map(json_text, value)) + "]"
+    text = repr(value)
+    if isinstance(value, int) and len(text) > 20:
+        return f"{text[:20]}... ({len(text.lstrip('-'))} digits)"
+    return text
 
 
 _HINT_NAMES = {int: "an integer", float: "a number", float | None: "a number or null",

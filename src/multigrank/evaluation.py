@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .dataset import Dataset, DomainRecord
-from .ranker import RankedList
+
+if TYPE_CHECKING:  # annotations only: importing ranker would load scipy
+    from .ranker import RankedList
 
 GRID_POINTS = 101
 

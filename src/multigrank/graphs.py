@@ -16,29 +16,8 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .dataset import Dataset, dataset_fingerprint, json_field, json_fits
-
-SCHEMES = ("gaussian", "dot_product", "cosine", "jaccard", "tanimoto")
-
-
-@dataclass(frozen=True)
-class GraphSpec:
-    """A weighting scheme plus its parameters; realized against a dataset."""
-
-    scheme: str
-    k: int
-    sigma: float | None = None
-
-    def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}")
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
-        if self.scheme == "gaussian":
-            if self.sigma is None or not self.sigma > 0:
-                raise ValueError("gaussian scheme requires sigma > 0")
-        elif self.sigma is not None:
-            raise ValueError(f"sigma does not apply to the {self.scheme!r} scheme")
+from .dataset import Dataset, dataset_fingerprint, json_field, json_fits, json_text
+from .specs import SCHEMES, GraphSpec
 
 
 @dataclass(eq=False)
@@ -570,14 +549,16 @@ def _triplet_arrays(index: int, n: int, trip):
     rejects triplets that do not describe a simple weighted graph."""
 
     def fail(at, need):
-        raise ValueError(f"pool file corrupt: graph {index} triplet {trip[at]!r}: {need}")
+        raise ValueError(f"pool file corrupt: graph {index} triplet {json_text(trip[at])}: {need}")
 
     try:
         rows, cols, vals = np.array(trip, dtype=np.float64).reshape(len(trip), 3).T
     except (TypeError, ValueError, OverflowError):
-        fail(next(at for at, t in enumerate(trip)
-                  if not (json_fits(t, tuple[float, ...]) and len(t) == 3)),
-             "expected [i, j, weight]")
+        at = next(at for at, t in enumerate(trip)
+                  if not (json_fits(t, tuple[float, ...]) and len(t) == 3))
+        # three numbers that are not three floats hold an integer past float range
+        numbers = json_fits(trip[at], tuple[int | float, ...]) and len(trip[at]) == 3
+        fail(at, "out of float range" if numbers else "expected [i, j, weight]")
     bad = np.flatnonzero(~(np.isfinite(vals) & (vals >= 0)))
     if bad.size:
         fail(bad[0], "weight must be finite and >= 0")

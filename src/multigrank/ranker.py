@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import lapack
 
 from .dataset import Dataset, RelevanceMatrix, dataset_fingerprint, json_field
 from .graphs import GraphPool, extend_graph
@@ -495,6 +494,9 @@ def _frozen_factor(pool: GraphPool, mu: np.ndarray, alpha: float, ridge: float):
     cached = getattr(pool, "_online_inverse", None)
     if cached is not None and cached[0] == key:
         return cached[1]
+    # imported here: no process loads scipy.linalg before it inverts a block
+    from scipy.linalg import lapack
+
     pool._online_inverse = None  # drop the old inverse before building the new one
     K, _ = _database_system(pool, mu, alpha, ridge)
     K, info = lapack.dpotrf(K.toarray(order="F"), lower=1, clean=0, overwrite_a=1)

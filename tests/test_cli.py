@@ -293,6 +293,7 @@ class TestExitCodes:
         pool_doc["graphs"][0]["spec"]["k"] = "3"
         huge_pool = json.loads(workspace["pool"].read_text())
         huge_pool["graphs"][0]["triplets"][0][2] = 10**400
+        i, j, _ = huge_pool["graphs"][0]["triplets"][0]
         model_doc = json.loads(workspace["model"].read_text())
         huge_model = dict(model_doc, alpha=10**400)
         del model_doc["alpha"]
@@ -300,7 +301,7 @@ class TestExitCodes:
             ("pool", pool_doc, "pool file corrupt: graph 0 spec: k must be an integer, got '3'"),
             ("pool", [pool_doc], "pool file corrupt: expected a JSON object, got list"),
             ("pool", huge_pool, "pool file corrupt: graph 0 triplet "
-                                f"{huge_pool['graphs'][0]['triplets'][0]}: expected [i, j, weight]"),
+                                f"[{i}, {j}, {'1' + '0' * 19}... (401 digits)]: out of float range"),
             ("model", model_doc, "model file corrupt: missing field 'alpha'"),
             ("model", huge_model, f"model file corrupt: alpha must be a number, got {10**400}"),
         ]

@@ -69,12 +69,18 @@ class TestLoad:
             load_dataset(_write(tmp_path, "db.xml", "<x/>"))
 
     def test_json_number_past_float_range(self, tmp_path):
-        doc = [
-            {"id": "a", "label": "x", "features": [1.0, 2.0]},
-            {"id": "b", "label": "z", "features": [3.0, 10**400]},
-        ]
-        with pytest.raises(ValueError, match="unparseable number 10{400} at row 2"):
-            load_dataset(_write(tmp_path, "db.json", json.dumps(doc)))
+        # the message names the cause and cuts the integer to 20 characters
+        for value, shown in [
+            (10**400, r"10{19}\.\.\. \(401 digits\)"),
+            (-(10**400), r"-10{18}\.\.\. \(401 digits\)"),
+            (-(10**308) * 2, r"-20{18}\.\.\. \(309 digits\)"),
+        ]:
+            doc = [
+                {"id": "a", "label": "x", "features": [1.0, 2.0]},
+                {"id": "b", "label": "z", "features": [3.0, value]},
+            ]
+            with pytest.raises(ValueError, match=f"^number {shown} out of float range at row 2$"):
+                load_dataset(_write(tmp_path, "db.json", json.dumps(doc)))
 
     def test_json_basic(self, tmp_path):
         doc = [

@@ -249,10 +249,29 @@ def test_curves_svg_emitter(tmp_path):
     assert (tmp_path / "again.svg").read_bytes() == path.read_bytes()
 
 
-def test_import_skips_scipy_stats():
+_CLI = "from multigrank import cli; assert cli.main({argv!r} + ['--out', '.']) == 0"
+_DATA = ["--dataset", "database.csv", "--pool", "pool.json"]
+
+# what a fresh process runs, in order and in one working directory, and the
+# modules it must not load
+_IMPORT_CONTRACT = [
     # scipy.stats alone costs most of a CLI call's start-up time, and
     # scipy.sparse.linalg is needed only by the ridge-0 component check
-    code = ("import sys, multigrank; "
-            "sys.exit(any(m in sys.modules for m in ('scipy.stats', 'scipy.sparse.linalg')))")
+    ("import multigrank; [getattr(multigrank, name) for name in multigrank.__all__]",
+     ("scipy.stats", "scipy.sparse.linalg")),
+    ("import multigrank; assert set(multigrank.__all__) <= set(dir(multigrank))", ("scipy",)),
+    (_CLI.format(argv=["gen", "--classes", "2", "--per-class", "6", "--dim", "3"]), ("scipy",)),
+    (_CLI.format(argv=["pool", *_DATA, "--k", "2"]), ("scipy.linalg",)),
+    (_CLI.format(argv=["train", *_DATA, "--model", "model.json", "--iters", "2"]),
+     ("scipy.linalg",)),
+]
+
+
+def test_import_skips_scipy_stats(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(Path(multigrank.__file__).parents[1]))
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    for code, forbidden in _IMPORT_CONTRACT:
+        check = (f"\nloaded = [m for m in {forbidden!r} if m in sys.modules]"
+                 "\nsys.exit(f'loaded {loaded}' if loaded else 0)")
+        proc = subprocess.run([sys.executable, "-c", "import sys\n" + code + check],
+                              cwd=tmp_path, env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, f"{code}: {proc.stderr}"

@@ -500,6 +500,14 @@ def _corrupt_overflowing_weight(doc):
     doc["graphs"][0]["triplets"][0][2] = 10**400
 
 
+def _corrupt_overflowing_index(doc):
+    doc["graphs"][1]["triplets"][0][0] = -(10**400)
+
+
+def _corrupt_overflowing_string_triplet(doc):
+    doc["graphs"][0]["triplets"][0] = [0, "1", 10**400]
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [
@@ -519,7 +527,12 @@ def _corrupt_overflowing_weight(doc):
         (_corrupt_missing_n, r"pool file corrupt: missing field 'N'"),
         (_corrupt_missing_spec, r"graph 1: missing field 'spec'"),
         (_corrupt_no_graphs, r"pool file corrupt: no graphs stored"),
-        (_corrupt_overflowing_weight, r"graph 0 triplet \[\d+, \d+, 10{400}\]: expected \[i, j"),
+        (_corrupt_overflowing_weight,
+         r"graph 0 triplet \[\d+, \d+, 10{19}\.\.\. \(401 digits\)\]: out of float range$"),
+        (_corrupt_overflowing_index,
+         r"graph 1 triplet \[-10{18}\.\.\. \(401 digits\), \d+, [\d.e-]+\]: out of float range$"),
+        (_corrupt_overflowing_string_triplet,
+         r"graph 0 triplet \[0, '1', 10{19}\.\.\. \(401 digits\)\]: expected \[i, j, weight\]$"),
     ],
 )
 def test_load_pool_rejects_corrupt_file(tmp_path, corrupt, message):

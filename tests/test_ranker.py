@@ -1,4 +1,5 @@
 import json
+import tempfile
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import dataset_from_arrays
+from helpers import dataset_from_arrays, random_labels
 
 from multigrank.dataset import (
     Dataset,
@@ -15,7 +16,16 @@ from multigrank.dataset import (
     generate_synthetic,
     relevance_matrix,
 )
-from multigrank.graphs import SCHEMES, BaseGraph, GraphPool, GraphSpec, build_graph, build_pool
+from multigrank.graphs import (
+    SCHEMES,
+    BaseGraph,
+    GraphPool,
+    GraphSpec,
+    build_graph,
+    build_pool,
+    load_pool,
+    save_pool,
+)
 from multigrank.ranker import (
     GraphWeights,
     HyperParams,
@@ -711,13 +721,18 @@ class TestConjugateGradientPath:
 
     @pytest.mark.parametrize("ridge", [0.0, 1e-8])
     def test_direct_path_makes_no_lapack_call(self, monkeypatch, ridge):
-        import multigrank.ranker as ranker
+        # the ranker imports lapack where it inverts, so the routines
+        # themselves are replaced, wherever they are looked up from
+        from scipy.linalg import lapack
 
-        class Refuse:
-            def __getattr__(self, name):
+        def refuse(name):
+            def call(*args, **kwargs):
                 raise AssertionError(f"lapack.{name} called on the direct path")
 
-        monkeypatch.setattr(ranker, "lapack", Refuse())
+            return call
+
+        for name in ("dpotrf", "dpotri"):
+            monkeypatch.setattr(lapack, name, refuse(name))
         ds, pool = self.connected_pool()
         mu = np.array([0.2, 0.5, 0.3])
         u = query_selector(ds.n)
@@ -811,6 +826,39 @@ def test_model_round_trip(tmp_path):
     )
     assert back.pool_fingerprint == model.pool_fingerprint
     assert back.objective_trace == model.objective_trace
+
+
+_ROUND_TRIP_SPECS = [
+    GraphSpec("gaussian", 2, 0.7), GraphSpec("gaussian", 3, 2.0), GraphSpec("dot_product", 2),
+    GraphSpec("cosine", 3), GraphSpec("jaccard", 2), GraphSpec("tanimoto", 3),
+]
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(6, 14),
+    dim=st.integers(1, 4),
+    specs=st.lists(st.sampled_from(_ROUND_TRIP_SPECS), min_size=1, max_size=4, unique=True),
+    alpha=st.floats(0.1, 10.0),
+    ridge=st.sampled_from([1e-8, 1e-3, 1.0]),
+)
+@settings(max_examples=30, deadline=None)
+def test_save_load_keeps_rankings_bit_for_bit(seed, n, dim, specs, alpha, ridge):
+    rng = np.random.default_rng(seed)
+    ds = dataset_from_arrays(rng.uniform(0.1, 3.0, size=(n, dim)), random_labels(rng, n, 3))
+    pool = build_pool(ds, specs)
+    params = HyperParams(alpha=alpha, ridge=ridge, max_iters=3)
+    model = train_offline(pool, relevance_matrix(ds, 1), params)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_pool(pool, f"{tmp}/pool.json")
+        save_model(model, f"{tmp}/model.json")
+        pool_back, model_back = load_pool(f"{tmp}/pool.json"), load_model(f"{tmp}/model.json")
+    for x0 in (*rng.uniform(0.1, 3.0, size=(3, dim)), ds.records[0].features):
+        pairs = [(rank_online(model, pool, ds, x0), rank_online(model_back, pool_back, ds, x0))]
+        pairs += [(grank_online(pool, g, ds, x0, params),
+                   grank_online(pool_back, g, ds, x0, model_back.params)) for g in range(pool.m)]
+        for before, after in pairs:
+            assert before.scores.tobytes() == after.scores.tobytes()
 
 
 @pytest.mark.parametrize("value", [2.5, 2.0, True, "3"])
