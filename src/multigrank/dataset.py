@@ -246,6 +246,12 @@ def _load_json(path: Path) -> list[DomainRecord]:
             rec_id, label, feats = entry["id"], entry["label"], entry["features"]
         except (TypeError, KeyError):
             raise ValueError(f"malformed record at row {row}") from None
+        if not isinstance(feats, list):
+            raise ValueError(f"features must be a list of numbers at row {row}")
+        # an integer past float range fits int, and _parse_features names it
+        bad = [raw for raw in feats if not json_fits(raw, int | float)]
+        if bad:
+            raise ValueError(f"feature {json_text(bad[0])} is not a number at row {row}")
         records.append(DomainRecord(str(rec_id), _parse_label(label), _parse_features(feats, row)))
     return records
 

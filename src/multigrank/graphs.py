@@ -33,39 +33,8 @@ class BaseGraph:
         return self.weights.shape[0]
 
     def laplacian(self) -> sp.csr_matrix:
-        """L = D - W, materialized on demand.
-
-        W is canonical (sorted rows, no duplicates; see ``from_weights``), so
-        each row's degree is inserted in place among its sorted entries,
-        merged with a diagonal weight if W has one; entries that come to 0
-        are dropped, as sparse subtraction drops them.
-        """
-        W = self.weights
-        n = self.n
-        nodes = np.arange(n)
-        rows = np.repeat(nodes, np.diff(W.indptr))
-        own = W.indices == rows
-        diag = self.degrees.copy()
-        diag[rows[own]] -= W.data[own]
-        vals = 0.0 - W.data
-        vals[own] = 0.0  # merged into the diagonal, so dropped below
-        # one more slot per row, after the row's entries left of the diagonal
-        left = np.concatenate(([0], np.cumsum(W.indices < rows)))[W.indptr]
-        indptr = W.indptr + np.arange(n + 1)
-        at = indptr[:-1] + np.diff(left)
-        slots = np.ones(W.nnz + n, dtype=bool)
-        slots[at] = False
-        indices = np.empty(W.nnz + n, dtype=W.indices.dtype)
-        indices[at] = nodes
-        indices[slots] = W.indices
-        data = np.empty(W.nnz + n)
-        data[at] = diag
-        data[slots] = vals
-        keep = data != 0
-        if not keep.all():
-            indptr = np.concatenate(([0], np.cumsum(keep)))[indptr]
-            indices, data = indices[keep], data[keep]
-        return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+        """L = D - W, materialized on demand."""
+        return (sp.diags(self.degrees) - self.weights).tocsr()
 
     @classmethod
     def from_weights(cls, spec: GraphSpec, weights) -> "BaseGraph":
@@ -419,6 +388,24 @@ def build_graph(ds: Dataset, spec: GraphSpec, neighbors=None) -> BaseGraph:
     return _symmetric_graph(spec, n, i, j, vals)
 
 
+def select_per_measure(specs, select):
+    """Each spec's neighbours, in spec order (a generator): ``select(spec)``,
+    closest first along the last axis, runs once per measure at its largest
+    k, and each spec takes the first k, its own selection as ties go by index."""
+    specs = list(specs)
+    widest = {}
+    for spec in specs:
+        measure = _measure(spec)
+        if measure not in widest or spec.k > widest[measure].k:
+            widest[measure] = spec
+    selected = {}
+    for spec in specs:
+        measure = _measure(spec)
+        if measure not in selected:
+            selected[measure] = select(widest[measure])
+        yield selected[measure][..., : spec.k]
+
+
 def build_pool(ds: Dataset, specs) -> GraphPool:
     """Build all candidate graphs, in spec order, bound to the dataset.
 
@@ -428,54 +415,39 @@ def build_pool(ds: Dataset, specs) -> GraphPool:
     specs = list(specs)
     if not specs:
         raise ValueError("cannot build a pool from an empty spec list")
-    widest = {}
-    for spec in specs:
-        measure = _measure(spec)
-        if measure not in widest or spec.k > widest[measure].k:
-            widest[measure] = spec
-    selected = {}
-    graphs = []
-    for spec in specs:
-        measure = _measure(spec)
-        if measure not in selected:
-            selected[measure] = knn_neighbors(ds, widest[measure])
-        graphs.append(build_graph(ds, spec, selected[measure][:, : spec.k]))
-    return GraphPool(graphs=tuple(graphs), fingerprint=dataset_fingerprint(ds), dim=ds.dim)
+    selections = select_per_measure(specs, lambda spec: knn_neighbors(ds, spec))
+    graphs = tuple(build_graph(ds, spec, nbrs) for spec, nbrs in zip(specs, selections))
+    return GraphPool(graphs=graphs, fingerprint=dataset_fingerprint(ds), dim=ds.dim)
 
 
-def extend_graph(graph: BaseGraph, ds: Dataset, x0) -> BaseGraph:
-    """Extend a database graph with a query as node 0.
-
-    The database block of W is frozen by contract: only row/column 0 is new,
-    holding weights between the query and its k nearest database nodes under
-    the graph's own spec.  Database indices shift up by one.
-    """
-    X = ds.feature_matrix
+def query_vector(ds: Dataset, x0) -> np.ndarray:
+    """A query's features as a float64 vector of the dataset's dimension."""
     x0 = np.asarray(x0, dtype=np.float64).ravel()
-    if x0.shape[0] != X.shape[1]:
-        raise ValueError(
-            f"query has dimension {x0.shape[0]}, dataset has dimension {X.shape[1]}"
-        )
-    if graph.n != X.shape[0]:
+    if x0.shape[0] != ds.dim:
+        raise ValueError(f"query has dimension {x0.shape[0]}, dataset has dimension {ds.dim}")
+    return x0
+
+
+def query_neighbors(ds: Dataset, x0, spec: GraphSpec) -> np.ndarray:
+    """The query's k nearest database nodes by the spec's measure, as ``knn_neighbors``."""
+    x0 = query_vector(ds, x0)
+    return _first_k(-_closeness(x0, ds.feature_matrix, spec)[None, :], spec.k)[0]
+
+
+def extend_graph(graph: BaseGraph, ds: Dataset, x0, neighbors=None):
+    """The edges a query adds to a database graph as node 0, whose database
+    block is frozen: its k nearest database nodes under the graph's spec, in
+    ascending order, and the clamped weights to them.  ``neighbors``, when
+    given, is the query's selection under the graph's measure, closest first,
+    at least k long; by default it comes from ``query_neighbors``.
+    """
+    x0 = query_vector(ds, x0)
+    if graph.n != ds.n:
         raise ValueError("graph and dataset have different node counts")
-    nbrs = np.sort(_first_k(-_closeness(x0, X, graph.spec)[None, :], graph.spec.k)[0])
-    w = np.maximum(edge_weight(x0, X[nbrs], graph.spec), 0.0)
-    # built from the base CSR arrays: row 0 holds the query's edges, and each
-    # neighbour's row gains column 0 at its front, where it sorts
-    base = graph.weights
-    n = graph.n
-    k = len(nbrs)
-    at = base.indptr[nbrs]
-    attached = np.concatenate(([0], np.cumsum(np.bincount(nbrs, minlength=n))))
-    weights = sp.csr_matrix(
-        (
-            np.concatenate((w, np.insert(base.data, at, w))),
-            np.concatenate((nbrs + 1, np.insert(base.indices + 1, at, 0))),
-            np.concatenate(([0], k + base.indptr + attached)),
-        ),
-        shape=(n + 1, n + 1),
-    )
-    return BaseGraph.from_weights(graph.spec, weights)
+    if neighbors is None:
+        neighbors = query_neighbors(ds, x0, graph.spec)
+    nbrs = np.sort(neighbors[: graph.spec.k])
+    return nbrs, np.maximum(edge_weight(x0, ds.feature_matrix[nbrs], graph.spec), 0.0)
 
 
 def median_pairwise_distance(X: np.ndarray) -> float:

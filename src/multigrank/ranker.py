@@ -6,15 +6,15 @@ quadratic update of the graph weights mu, recording the joint objective.
 Both run on the pool's edge table: the score solve by Jacobi-preconditioned
 conjugate gradients, warm-started from the previous scores, and the
 roughness terms from squared score differences along the edges.
-Online: extend every pooled graph with the query as node 0, combine the
-extended Laplacians with the learned mu, and solve
-``(U + alpha L + ridge I) f = U y`` with U = diag(1, 0, ..., 0).  The
-database block ``alpha L_db + ridge I`` of that system is the same for every
-query; it is assembled on the edge table as the training system is, inverted
-once per pool and weights, and each query is solved by a low-rank update on
-the rows its edges touch, which reads only those columns of the inverse.
-Every other solve, the direct path, runs the training's block conjugate
-gradients on the sparse system.
+Online: the query joins the database as node 0, ranked by
+``(U + alpha L + ridge I) f = U y`` with U = diag(1, 0, ..., 0).  Only row
+and column 0 of that system change per query: its database block
+``K = alpha L_db + ridge I`` is assembled on the edge table as the training
+system is and kept on the pool, and the query adds only the Laplacian of its
+own edges.  K is inverted once per pool and weights, and each query is
+solved by a low-rank update on the rows its edges touch, which reads only
+those columns of the inverse.  Every other solve, the direct path, runs the
+training's block conjugate gradients on the assembled sparse system.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .dataset import Dataset, RelevanceMatrix, dataset_fingerprint, json_field
-from .graphs import GraphPool, extend_graph
+from .graphs import GraphPool, extend_graph, query_neighbors, query_vector, select_per_measure
 
 # largest extended system (N + 1 rows) whose database block is inverted
 # densely; larger systems take the direct path at every query
@@ -170,24 +170,14 @@ def _solve_spd(A, rhs) -> np.ndarray:
     return X.reshape(np.shape(rhs))
 
 
-def _inverse_columns(inv: np.ndarray, T: np.ndarray) -> np.ndarray:
-    """Columns ``T`` of the symmetric matrix held in the lower triangle of
-    ``inv``: entry (i, t) is ``inv[i, t]`` for i >= t and ``inv[t, i]`` above
-    the diagonal."""
-    below = np.arange(inv.shape[0])[:, None] >= T
-    return np.where(below, inv[:, T], inv[T, :].T)
+def _bordered_solve(L, y0: float, alpha: float, ridge: float, K, inv: np.ndarray):
+    """Solve (e0 e0' + alpha L + blockdiag(ridge, K)) f = y0 e0 from ``inv = K^-1``.
 
-
-def _bordered_solve(L, y0: float, alpha: float, ridge: float, inv: np.ndarray):
-    """Solve (e0 e0' + alpha L + ridge I) f = y0 e0 from the frozen inverse.
-
-    ``L`` is an extended Laplacian with the query as node 0 and ``inv`` holds
-    ``K^-1`` for ``K = alpha L_db + ridge I`` in its lower triangle, where
-    ``L_db`` is the database block of ``L`` without the query's edges.  With w
-    the query's edge weights, the database block of the system is
-    ``B = K + alpha diag(w)``, an update of K on the rows T that w touches.
-    Woodbury gives ``B^-1 w = Q t`` with ``Q = K^-1 E_T``, the columns T of
-    the inverse gathered from its lower triangle, and
+    ``L`` is the Laplacian of the query's edges, with the query as node 0, and
+    ``K = alpha L_db + ridge I`` the frozen database block.  With w the query's
+    edge weights, the database block of the system is ``B = K + alpha diag(w)``,
+    an update of K on the rows T that w touches.  Woodbury gives
+    ``B^-1 w = Q t`` with ``Q = K^-1 E_T``, the columns T of the inverse, and
     ``(diag(1 / (alpha w_T)) + Q[T]) t = 1 / alpha``, solved here in the
     symmetric form scaled by ``sqrt(alpha w_T)``.  The query row then gives
     f0, and ``f_db = alpha f0 B^-1 w``.
@@ -195,20 +185,21 @@ def _bordered_solve(L, y0: float, alpha: float, ridge: float, inv: np.ndarray):
     Returns None when the result is not finite or its relative residual
     against the true system exceeds RESIDUAL_TOL.
     """
-    L = sp.csr_matrix(L)
     lo, hi = L.indptr[0], L.indptr[1]
     row = np.bincount(L.indices[lo:hi], weights=L.data[lo:hi], minlength=L.shape[0])
     T = np.flatnonzero(row[1:] < 0)
     w_T = -row[1:][T]
     a00 = 1.0 + alpha * row[0] + ridge
-    Q = _inverse_columns(inv, T)
+    # C order, so that the products with Q below round alike for any layout of inv
+    Q = np.ascontiguousarray(inv[:, T])
     sw = np.sqrt(alpha * w_T)
     M = np.eye(T.size) + sw[:, None] * Q[T] * sw[None, :]
     Bw = Q @ (sw * np.linalg.solve(M, sw / alpha))
     f0 = y0 / (a00 - alpha * alpha * (w_T @ Bw[T]))
     f = np.concatenate(([f0], alpha * f0 * Bw))
-    resid = alpha * (L @ f) + ridge * f
-    resid[0] += f0 - y0
+    resid = alpha * (L @ f)
+    resid[0] += ridge * f0 + f0 - y0
+    resid[1:] += K @ f[1:]
     scale = abs(y0) if y0 != 0 else 1.0
     if not np.all(np.isfinite(f)) or np.linalg.norm(resid) > RESIDUAL_TOL * scale:
         return None
@@ -224,28 +215,32 @@ def grank_solve(L, u, y, alpha: float, ridge: float = 0.0, frozen=None) -> np.nd
     ridge = 0, a component of the graph with no known entry makes the system
     singular and raises SingularSystemError before any solve.
 
-    ``frozen`` is an optional (N-1) x (N-1) array holding, in its lower
-    triangle, the inverse of ``alpha L_db + ridge I``, with ``L_db`` the block
-    of ``L`` past node 0 less the edges of node 0; its upper triangle is not
-    read.  It needs u = e0.  The system is then solved by a low-rank update of
-    that inverse, and by the direct path if that result fails the residual
-    check.  The direct path solves the sparse system by block conjugate
-    gradients (``_solve_spd``).
+    ``frozen`` is an optional pair ``(K, inv)`` for a query as node 0 (u =
+    e0): ``K = alpha L_db + ridge I`` is the sparse database block and ``L``
+    the CSR Laplacian of the query's edges only, so the system is
+    ``diag(u) + alpha L + blockdiag(ridge, K)``; ``inv`` is None or K^-1, and
+    with it the system is solved by a low-rank update of the inverse, then by
+    the direct path if that result fails the residual check.  The direct path
+    solves the sparse system by block conjugate gradients (``_solve_spd``).
     """
     u = np.asarray(u, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n = L.shape[0]
     if u.shape != (n,) or y.shape != (n,):
         raise ValueError("grank_solve: dimension mismatch between L, u, y")
-    if frozen is not None:
+    if frozen is None:
+        A = (alpha * sp.csr_matrix(L) + sp.diags(u + ridge)).tocsr()
+    else:
+        K, inv = frozen
         if u[0] != 1.0 or u[1:].any():
-            raise ValueError("grank_solve: a frozen inverse needs u = e0")
-        if frozen.shape != (n - 1, n - 1):
-            raise ValueError("grank_solve: frozen inverse does not match the database block")
-        f = _bordered_solve(L, float(y[0]), alpha, ridge, frozen)
-        if f is not None:
-            return f
-    A = (alpha * sp.csr_matrix(L) + sp.diags(u + ridge)).tocsr()
+            raise ValueError("grank_solve: a frozen database block needs u = e0")
+        if K.shape != (n - 1, n - 1):
+            raise ValueError("grank_solve: frozen block does not match the system")
+        if inv is not None:
+            f = _bordered_solve(L, float(y[0]), alpha, ridge, K, inv)
+            if f is not None:
+                return f
+        A = (alpha * L + sp.block_diag(([[1.0 + ridge]], K))).tocsr()
     if ridge == 0:
         # csgraph imports scipy.sparse.linalg, which only this branch needs
         from scipy.sparse.csgraph import connected_components
@@ -263,13 +258,32 @@ def _check_weight_count(mu, graphs) -> None:
         )
 
 
-def combine_laplacians(graphs, mu: np.ndarray) -> sp.csr_matrix:
-    """Convex combination of the graphs' Laplacians."""
-    _check_weight_count(mu, graphs)
-    L = mu[0] * graphs[0].laplacian()
-    for weight, graph in zip(mu[1:], graphs[1:]):
-        L = L + weight * graph.laplacian()
-    return L.tocsr()
+def combine_laplacians(edges, mu: np.ndarray, n: int) -> sp.csr_matrix:
+    """(n + 1)^2 Laplacian of the star joining a query, node 0, to its
+    neighbours, with ``sum_m mu_m w_m`` on each edge, from one
+    ``(neighbours, weights)`` pair per graph as ``extend_graph`` gives them.
+    Sums run in graph order, and each graph's degree in neighbour order, so
+    the query row equals the combined extended graphs' Laplacian bit for bit.
+    """
+    _check_weight_count(mu, edges)
+    nbrs = np.concatenate([nb for nb, _ in edges])
+    border = np.bincount(nbrs, np.concatenate([m * w for m, (_, w) in zip(mu, edges)]),
+                         minlength=n)
+    degree = 0.0
+    for m, (_, w) in zip(mu, edges):
+        degree += m * (np.cumsum(w)[-1] if w.size else 0.0)
+    T = np.flatnonzero(border)
+    s = T.size
+    # row 0: the degree, then -w_T; row t + 1 for t in T: -w_t, then w_t
+    data = np.empty(3 * s + 1)
+    indices = np.zeros(3 * s + 1, dtype=T.dtype)
+    data[0] = degree
+    data[1 : s + 1] = data[s + 1 :: 2] = -border[T]
+    data[s + 2 :: 2] = border[T]
+    indices[1 : s + 1] = indices[s + 2 :: 2] = T + 1
+    indptr = np.zeros(n + 2, dtype=T.dtype)
+    indptr[1:] = s + 1 + 2 * np.searchsorted(T, np.arange(n + 1))
+    return sp.csr_matrix((data, indices, indptr), shape=(n + 1, n + 1))
 
 
 def _relevance_columns(Y):
@@ -474,37 +488,49 @@ def train_offline(pool: GraphPool, Y, params: HyperParams) -> RankModel:
     )
 
 
+def _mirror_lower(a: np.ndarray, block: int = 256) -> np.ndarray:
+    """Copy the lower triangle of square ``a`` onto the upper, in place; returns ``a``."""
+    n = a.shape[0]
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        diag = a[lo:hi, lo:hi]
+        upper = np.triu_indices(hi - lo, 1)
+        diag[upper] = diag.T[upper]
+        a[lo:hi, hi:] = a[hi:, lo:hi].T
+    return a
+
+
 def _frozen_factor(pool: GraphPool, mu: np.ndarray, alpha: float, ridge: float):
-    """Inverse of the frozen database block ``K = ridge I + alpha L_db``, in
-    the lower triangle of an N x N Fortran-order array.
+    """The frozen database block ``K = ridge I + alpha L_db``, sparse, and
+    its inverse, an N x N Fortran-order array or None.
 
     ``L_db`` combines the pool's graphs with weights ``mu``; K is assembled by
-    ``_database_system``, densified once, Cholesky-factored in place and
-    inverted in place from its factor (LAPACK ``potrf`` then ``potri``), so
-    no second N x N array is formed; the upper triangle keeps K's entries.
-    The pool holds one inverse, for the last (mu, alpha, ridge) asked for, and
-    replaces it when they change.  None where the inverse path does not
-    apply: ridge 0 (the block is singular, a Laplacian has the constant
-    vector in its null space), an extended system past DENSE_SOLVE_LIMIT
-    (the N x N inverse is not held), or a block Cholesky cannot factor.
+    ``_database_system``, less the zeros graphs of weight 0 leave, densified,
+    Cholesky-factored and inverted in place (LAPACK ``potrf``, ``potri``, then
+    the lower triangle copied onto the upper), so no second N x N array is
+    formed.  The pool holds the pair for the last (mu, alpha, ridge) asked
+    for.  The inverse is None at ridge 0 (a Laplacian has the constant vector
+    in its null space), past DENSE_SOLVE_LIMIT (the N x N inverse is not
+    held), or where Cholesky cannot factor K.
     """
-    if not ridge > 0 or pool.n + 1 > DENSE_SOLVE_LIMIT:
-        return None
     key = (mu.tobytes(), alpha, ridge)
-    cached = getattr(pool, "_online_inverse", None)
+    cached = getattr(pool, "_frozen_block", None)
     if cached is not None and cached[0] == key:
         return cached[1]
-    # imported here: no process loads scipy.linalg before it inverts a block
-    from scipy.linalg import lapack
-
-    pool._online_inverse = None  # drop the old inverse before building the new one
+    pool._frozen_block = None  # drop the old inverse before building the new one
     K, _ = _database_system(pool, mu, alpha, ridge)
-    K, info = lapack.dpotrf(K.toarray(order="F"), lower=1, clean=0, overwrite_a=1)
-    if info == 0:
-        K, info = lapack.dpotri(K, lower=1, overwrite_c=1)
-    inv = K if info == 0 else None
-    pool._online_inverse = (key, inv)
-    return inv
+    K.eliminate_zeros()
+    inv = None
+    if ridge > 0 and pool.n + 1 <= DENSE_SOLVE_LIMIT:
+        # imported here: no process loads scipy.linalg before it inverts a block
+        from scipy.linalg import lapack
+
+        inv, info = lapack.dpotrf(K.toarray(order="F"), lower=1, clean=0, overwrite_a=1)
+        if info == 0:
+            inv, info = lapack.dpotri(inv, lower=1, overwrite_c=1)
+        inv = _mirror_lower(inv) if info == 0 else None
+    pool._frozen_block = (key, (K, inv))
+    return K, inv
 
 
 def _rank_extended(pool: GraphPool, mu: np.ndarray, ds: Dataset, x0, alpha: float,
@@ -512,13 +538,14 @@ def _rank_extended(pool: GraphPool, mu: np.ndarray, ds: Dataset, x0, alpha: floa
     """Rank with the pool's graphs weighted by ``mu``; graphs of weight 0 are skipped."""
     _check_weight_count(mu, pool.graphs)
     active = np.flatnonzero(mu)
-    extended = [extend_graph(pool.graphs[i], ds, x0) for i in active]
-    L = combine_laplacians(extended, mu[active])
-    n1 = L.shape[0]
-    u = np.zeros(n1)
+    graphs = [pool.graphs[i] for i in active]
+    selections = select_per_measure([g.spec for g in graphs],
+                                    lambda spec: query_neighbors(ds, x0, spec))
+    edges = [extend_graph(g, ds, x0, nbrs) for g, nbrs in zip(graphs, selections)]
+    L = combine_laplacians(edges, mu[active], pool.n)
+    u = np.zeros(pool.n + 1)
     u[0] = 1.0
-    frozen = _frozen_factor(pool, mu, alpha, ridge)
-    f = grank_solve(L, u, u.copy(), alpha, ridge, frozen=frozen)
+    f = grank_solve(L, u, u.copy(), alpha, ridge, frozen=_frozen_factor(pool, mu, alpha, ridge))
     return make_ranked(query_id, f[1:], ds.ids)
 
 
@@ -526,10 +553,9 @@ def rank_online(model: RankModel, pool: GraphPool, ds: Dataset, x0,
                 params: HyperParams | None = None, query_id: str = "query") -> RankedList:
     """Rank the database against a query under the trained multi-graph model.
 
-    Extends every pooled graph of nonzero weight with the query as node 0,
-    combines the extended Laplacians with the learned weights, and solves the
-    one-known-entry system.  For ridge > 0 the solve reuses the inverse of the
-    frozen database block held on the pool (see ``grank_solve``).
+    Combines the query's edges in every pooled graph of nonzero weight with
+    the learned weights and solves the one-known-entry system against the
+    frozen database block and its inverse held on the pool (``grank_solve``).
     """
     params = params if params is not None else model.params
     if model.pool_fingerprint != pool.fingerprint:
@@ -554,11 +580,7 @@ def grank_online(pool: GraphPool, graph_index: int, ds: Dataset, x0,
 def rank_pairwise_baseline(ds: Dataset, x0, query_id: str = "query") -> RankedList:
     """Baseline arm: cosine similarity between the query and each database vector."""
     X = ds.feature_matrix
-    x0 = np.asarray(x0, dtype=np.float64).ravel()
-    if x0.shape[0] != X.shape[1]:
-        raise ValueError(
-            f"query has dimension {x0.shape[0]}, dataset has dimension {X.shape[1]}"
-        )
+    x0 = query_vector(ds, x0)
     qnorm = np.linalg.norm(x0)
     if qnorm == 0:
         raise ValueError("zero query vector")

@@ -1,8 +1,10 @@
 """Small builders shared across test modules."""
 
 import numpy as np
+import scipy.sparse as sp
 
 from multigrank.dataset import Dataset, DomainRecord
+from multigrank.graphs import BaseGraph, _closeness, _first_k, edge_weight
 
 
 def dataset_from_arrays(points, labels=None) -> Dataset:
@@ -23,3 +25,26 @@ def random_labels(rng, n, n_classes) -> list:
     if len(set(labels)) < 2:
         labels[0] = "g_extra"
     return labels
+
+
+def extend_graph_oracle(graph, ds, x0):
+    """Query extension by a coordinate-format build of the whole (N+1)^2
+    matrix: the graph with the query as node 0, joined to its k nearest
+    database nodes, and the database block unchanged."""
+    X = ds.feature_matrix
+    x0 = np.asarray(x0, dtype=np.float64).ravel()
+    nbrs = _first_k(-_closeness(x0, X, graph.spec)[None, :], graph.spec.k)[0]
+    w = np.maximum(edge_weight(x0, X[nbrs], graph.spec), 0.0)
+    base = graph.weights.tocoo()
+    n1 = graph.n + 1
+    rows = np.concatenate([np.zeros(len(nbrs), dtype=int), nbrs + 1, base.row + 1])
+    cols = np.concatenate([nbrs + 1, np.zeros(len(nbrs), dtype=int), base.col + 1])
+    vals = np.concatenate([w, w, base.data])
+    return BaseGraph.from_weights(graph.spec, sp.csr_matrix((vals, (rows, cols)), shape=(n1, n1)))
+
+
+def extended_laplacian_oracle(graphs, mu, ds, x0) -> np.ndarray:
+    """Dense sum of ``mu_m`` times each graph's extended Laplacian, built by
+    ``extend_graph_oracle``; graphs of weight 0 included."""
+    return sum(w * extend_graph_oracle(g, ds, x0).laplacian().toarray()
+               for w, g in zip(mu, graphs))

@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from helpers import dataset_from_arrays, random_labels
+from helpers import dataset_from_arrays, extended_laplacian_oracle, random_labels
 
 from multigrank import cli
 from multigrank.dataset import (
@@ -26,7 +26,6 @@ from multigrank.graphs import (
     build_graph,
     build_pool,
     default_spec_grid,
-    extend_graph,
     median_pairwise_distance,
 )
 from multigrank.ranker import (
@@ -107,10 +106,7 @@ def test_criterion_2_solver_oracle_equivalence():
         model = RankModel(GraphWeights(mu), params, pool.fingerprint, [])
         x0 = rng.uniform(0.05, 1.0, size=3)
         ranked = rank_online(model, pool, ds, x0)
-        L_ext = sum(
-            w * extend_graph(g, ds, x0).laplacian().toarray()
-            for w, g in zip(mu, pool.graphs)
-        )
+        L_ext = extended_laplacian_oracle(pool.graphs, mu, ds, x0)
         u_ext = np.zeros(n + 1)
         u_ext[0] = 1.0
         oracle_ext = np.linalg.inv(np.diag(u_ext + ridge) + alpha * L_ext) @ u_ext

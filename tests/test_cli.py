@@ -1,7 +1,13 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import multigrank
 from multigrank import cli
 from multigrank.dataset import dataset_fingerprint, load_dataset
 from multigrank.graphs import load_pool
@@ -317,6 +323,17 @@ class TestExitCodes:
             assert rc == 1
             assert f"error: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value, shown", [(True, "True"), ("2.5", "'2.5'")])
+    def test_json_feature_not_a_number_exit_code(self, tmp_path, capsys, value, shown):
+        db = tmp_path / "db.json"
+        db.write_text(json.dumps([
+            {"id": "a", "label": "x", "features": [1.0, 2.0]},
+            {"id": "b", "label": "y", "features": [value, 0.5]},
+        ]))
+        rc = cli.main(["pool", "--out", str(tmp_path), "--dataset", str(db)])
+        assert rc == 1
+        assert f"error: feature {shown} is not a number at row 2" in capsys.readouterr().err
+
 
 class TestConfigFile:
     def test_config_with_flag_override(self, tmp_path):
@@ -369,3 +386,47 @@ class TestConfigFile:
         ])
         assert rc == 0
         assert load_model(tmp_path / "model.json").params.alpha == 1.0
+
+
+# the README walkthrough up to rank, at N=200, then a second model whose
+# weights spread over ten of the 14 graphs (beta 1000), ranked the same way
+_WALKTHROUGH = [
+    "gen --out run --classes 5 --per-class 40 --dim 32 --seed 7",
+    "pool --out run --dataset run/database.csv --pool run/pool.json --k 5 10"
+    " --sigma-multipliers 0.5 1.0 2.0",
+    "train --out run --dataset run/database.csv --pool run/pool.json --model run/model.json"
+    " --level 1",
+    "rank --out run/ranks --dataset run/database.csv --pool run/pool.json"
+    " --model run/model.json --queries run/queries.csv",
+    "train --out run --dataset run/database.csv --pool run/pool.json --model run/spread.json"
+    " --level 1 --beta 1000",
+    "rank --out run/spread --dataset run/database.csv --pool run/pool.json"
+    " --model run/spread.json --queries run/queries.csv",
+]
+
+
+def test_walkthrough_rank_bytes_golden(tmp_path):
+    # sha256 over (name, bytes) of each arm's rank TSVs as ranked by extended
+    # graphs built per query (numpy 2.4.6, scipy 1.17.1, x86-64).  Rank bytes
+    # depend on the BLAS thread count through the LAPACK inverse, so the
+    # walkthrough runs in a fresh process on one thread.
+    code = "\n".join(["from multigrank import cli"] + [
+        f"assert cli.main({argv.split()!r}) == 0" for argv in _WALKTHROUGH
+    ])
+    env = dict(os.environ, PYTHONPATH=str(Path(multigrank.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    digests = {}
+    for arm in ("ranks", "spread"):
+        h = hashlib.sha256()
+        files = sorted((tmp_path / "run" / arm).glob("*.tsv"))
+        assert len(files) == 10
+        for path in files:
+            h.update(path.name.encode() + b"\0" + path.read_bytes())
+        digests[arm] = h.hexdigest()
+    assert digests == {
+        "ranks": "9de115aa776b8f22e770ecfa38eb6710fa20c405b14fa86577cf9dbd26b41b24",
+        "spread": "c7f61d1cce24355fe754d96513481240818006e19e7ab770f521fdd6ac21c235",
+    }

@@ -82,6 +82,28 @@ class TestLoad:
             with pytest.raises(ValueError, match=f"^number {shown} out of float range at row 2$"):
                 load_dataset(_write(tmp_path, "db.json", json.dumps(doc)))
 
+    @pytest.mark.parametrize("value, shown", [
+        (True, "True"), ("2.5", "'2.5'"), (None, "None"), ([1.0], r"\[1\.0\]"),
+    ])
+    def test_json_feature_must_be_a_number(self, tmp_path, value, shown):
+        # float() would read true as 1.0 and "2.5" as 2.5
+        doc = [
+            {"id": "a", "label": "x", "features": [1.0, 2.0]},
+            {"id": "b", "label": "z", "features": [3.0, value]},
+        ]
+        with pytest.raises(ValueError, match=f"^feature {shown} is not a number at row 2$"):
+            load_dataset(_write(tmp_path, "db.json", json.dumps(doc)))
+
+    def test_json_features_must_be_a_list(self, tmp_path):
+        doc = [{"id": "a", "label": "x", "features": "12"},
+               {"id": "b", "label": "z", "features": [3.0, 4.0]}]
+        with pytest.raises(ValueError, match="^features must be a list of numbers at row 1$"):
+            load_dataset(_write(tmp_path, "db.json", json.dumps(doc)))
+
+    def test_csv_cells_still_read_as_floats(self, tmp_path):
+        ds = load_dataset(_write(tmp_path, "db.csv", "id,label,f1\na,x,2.5\nb,x,1e3\n"))
+        assert ds.feature_matrix.ravel().tolist() == [2.5, 1000.0]
+
     def test_json_basic(self, tmp_path):
         doc = [
             {"id": "a", "label": "x/y", "features": [1.0, 2.0]},

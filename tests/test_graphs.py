@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dataset_from_arrays
+from helpers import dataset_from_arrays, extend_graph_oracle
 
 from multigrank.dataset import generate_synthetic
 from multigrank.graphs import (
@@ -22,9 +22,11 @@ from multigrank.graphs import (
     knn_neighbors,
     load_pool,
     median_pairwise_distance,
+    query_neighbors,
     save_pool,
+    select_per_measure,
 )
-from multigrank.graphs import _closeness, _first_k
+from multigrank.ranker import combine_laplacians
 
 
 def spec_for(scheme, k, sigma=1.0):
@@ -548,6 +550,11 @@ def test_load_pool_rejects_corrupt_file(tmp_path, corrupt, message):
         load_pool(path)
 
 
+def query_laplacian(graph, ds, x0):
+    """The query's edges into one graph as an (N+1)^2 Laplacian."""
+    return combine_laplacians([extend_graph(graph, ds, x0)], np.ones(1), graph.n)
+
+
 class TestExtend:
     def _setup(self):
         ds = generate_synthetic(2, 6, 3, 1.0, 8.0, 5)
@@ -557,15 +564,18 @@ class TestExtend:
     def test_duplicate_query_gets_unit_weight(self):
         ds, g = self._setup()
         target = 1  # database point x_1
-        ext = extend_graph(g, ds, ds.records[target].features)
-        W = ext.weights.toarray()
+        x0 = ds.records[target].features
+        nbrs, w = extend_graph(g, ds, x0)
+        assert w[nbrs.tolist().index(target)] == 1.0
+        W = extend_graph_oracle(g, ds, x0).weights.toarray()
         assert W[0, target + 1] == 1.0 and W[target + 1, 0] == 1.0
 
     def test_laplacian_invariants(self):
+        # the query's edges plus the frozen database block: the extended Laplacian
         ds, g = self._setup()
-        ext = extend_graph(g, ds, np.full(3, 0.5))
-        L = ext.laplacian().toarray()
-        assert np.abs(L @ np.ones(ext.n)).max() <= 1e-12
+        L = query_laplacian(g, ds, np.full(3, 0.5)).toarray()
+        L[1:, 1:] += g.laplacian().toarray()
+        assert np.abs(L @ np.ones(g.n + 1)).max() <= 1e-12
         assert np.linalg.eigvalsh(L).min() >= -1e-10
 
     def test_database_block_frozen(self):
@@ -573,10 +583,15 @@ class TestExtend:
         # must not, so only its row/column 0 is allowed to differ
         ds, g = self._setup()
         x0 = ds.feature_matrix.mean(axis=0)
-        ext = extend_graph(g, ds, x0)
+        L = query_laplacian(g, ds, x0).toarray()
+        block = L[1:, 1:]
+        assert np.array_equal(block, np.diag(np.diag(block)))
+        ext = extend_graph_oracle(g, ds, x0)
         assert np.array_equal(ext.weights.toarray()[1:, 1:], g.weights.toarray())
-        row0 = ext.weights.toarray()[0]
+        row0 = -L[0]
+        row0[0] = 0.0
         assert (row0 != 0).sum() == g.spec.k
+        assert np.array_equal(row0, ext.weights.toarray()[0])
         for j in np.nonzero(row0)[0]:
             expected = max(edge_weight(x0, ds.records[j - 1].features, g.spec), 0.0)
             assert row0[j] == expected
@@ -592,22 +607,33 @@ class TestExtend:
         X = np.array([[3.0], [1.0], [0.0], [1.0], [3.0], [1.0], [3.0], [1.0]])
         ds = dataset_from_arrays(X)
         g = build_graph(ds, spec_for("gaussian", 5, sigma=2.0))
-        ext = extend_graph(g, ds, np.array([2.4]))
-        assert sorted(ext.weights.getrow(0).indices - 1) == [0, 1, 3, 4, 6]
+        nbrs, _ = extend_graph(g, ds, np.array([2.4]))
+        assert sorted(nbrs) == [0, 1, 3, 4, 6]
 
-
-def extend_graph_oracle(graph, ds, x0):
-    """Query extension by a coordinate-format build of the whole (N+1)^2 matrix."""
-    X = ds.feature_matrix
-    x0 = np.asarray(x0, dtype=np.float64).ravel()
-    nbrs = _first_k(-_closeness(x0, X, graph.spec)[None, :], graph.spec.k)[0]
-    w = np.maximum(edge_weight(x0, X[nbrs], graph.spec), 0.0)
-    base = graph.weights.tocoo()
-    n1 = graph.n + 1
-    rows = np.concatenate([np.zeros(len(nbrs), dtype=int), nbrs + 1, base.row + 1])
-    cols = np.concatenate([nbrs + 1, np.zeros(len(nbrs), dtype=int), base.col + 1])
-    vals = np.concatenate([w, w, base.data])
-    return BaseGraph.from_weights(graph.spec, sp.csr_matrix((vals, (rows, cols)), shape=(n1, n1)))
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_shared_selection_matches_per_graph(self, data):
+        # one query selection per measure at the widest k, sliced per graph,
+        # equals each graph's own selection bit for bit; small-integer rows
+        # and queries tie often
+        picks = data.draw(st.lists(st.integers(0, 5), min_size=3, max_size=14))
+        X = np.round(generate_synthetic(2, 3, 2, 1.0, 3.0, 0).feature_matrix)[picks] + 1.0
+        ds = dataset_from_arrays(X)
+        k_values = tuple(data.draw(st.lists(st.integers(1, ds.n), min_size=1, max_size=3)))
+        specs = data.draw(st.permutations(default_spec_grid(ds, SCHEMES, k_values, (0.5, 2.0))))
+        if data.draw(st.booleans()):
+            x0 = X[data.draw(st.integers(0, ds.n - 1))]
+        else:
+            x0 = np.array(data.draw(st.lists(st.integers(1, 4), min_size=2, max_size=2)), float)
+        shared = select_per_measure(specs, lambda spec: query_neighbors(ds, x0, spec))
+        for spec, nbrs in zip(specs, shared):
+            own = query_neighbors(ds, x0, spec)
+            assert nbrs.dtype == own.dtype and nbrs.tobytes() == own.tobytes()
+            keys = [-rounded_closeness(x0, x, spec.scheme) for x in X]
+            assert own.tolist() == np.argsort(keys, kind="stable")[: spec.k].tolist()
+            graph = BaseGraph.from_weights(spec, sp.csr_matrix((ds.n, ds.n)))
+            for a, b in zip(extend_graph(graph, ds, x0, nbrs), extend_graph(graph, ds, x0)):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def laplacian_oracle(graph):
@@ -652,9 +678,28 @@ def arbitrary_weights(rng, n, kind):
     return sp.csr_matrix((vals, cols, indptr), shape=(n, n))
 
 
+def assert_query_row_matches(graph, ds, x0):
+    """extend_graph's edges, and the query Laplacian combine_laplacians
+    builds from them, against the extended graph's coordinate-format build:
+    the query row bit for bit, the database rows to rounding."""
+    nbrs, w = extend_graph(graph, ds, x0)
+    oracle = extend_graph_oracle(graph, ds, x0)
+    row = oracle.weights.getrow(0)
+    assert np.array_equal(nbrs + 1, row.indices) and w.tobytes() == row.data.tobytes()
+    L_q = query_laplacian(graph, ds, x0)
+    full = laplacian_oracle(oracle)
+    assert_same_bits(L_q.getrow(0), full.getrow(0))
+    assert L_q[0, 0] == oracle.degrees[0]
+    L = L_q.toarray()
+    L[1:, 1:] += graph.laplacian().toarray()
+    assert np.abs(L - full.toarray()).max() <= 1e-14 * np.abs(full.toarray()).max()
+
+
 class TestCsrAssembly:
-    """extend_graph and BaseGraph.laplacian assemble CSR arrays directly; they
-    must equal, bit for bit, the sparse-format builds they replace."""
+    """combine_laplacians assembles CSR arrays directly from extend_graph's
+    edges; its query row, which is all the inverse path reads, must equal
+    the sparse-format build of the extended graph's Laplacian bit for bit,
+    as BaseGraph.laplacian must equal D - W."""
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -671,11 +716,7 @@ class TestCsrAssembly:
         assert_same_bits(graph.laplacian(), laplacian_oracle(graph))
         # half the time a copy of a database point
         x0 = ds.feature_matrix[rng.integers(n)] if rng.random() < 0.5 else rng.uniform(0.1, 1.0, 3)
-        ext = extend_graph(graph, ds, x0)
-        oracle = extend_graph_oracle(graph, ds, x0)
-        assert_same_bits(ext.weights, oracle.weights)
-        assert ext.degrees.tobytes() == oracle.degrees.tobytes()
-        assert_same_bits(ext.laplacian(), laplacian_oracle(oracle))
+        assert_query_row_matches(graph, ds, x0)
 
     def test_pool_graphs_match_sparse_builds(self):
         ds = generate_synthetic(3, 20, 4, 1.0, 4.0, 3)
@@ -683,11 +724,7 @@ class TestCsrAssembly:
         for graph in pool.graphs:
             assert_same_bits(graph.laplacian(), laplacian_oracle(graph))
             for x0 in (ds.feature_matrix[7], np.full(4, 0.25)):
-                ext = extend_graph(graph, ds, x0)
-                oracle = extend_graph_oracle(graph, ds, x0)
-                assert_same_bits(ext.weights, oracle.weights)
-                assert ext.degrees.tobytes() == oracle.degrees.tobytes()
-                assert_same_bits(ext.laplacian(), laplacian_oracle(oracle))
+                assert_query_row_matches(graph, ds, x0)
 
 
 def test_median_pairwise_distance_hand_case():

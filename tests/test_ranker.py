@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import dataset_from_arrays, random_labels
+from helpers import dataset_from_arrays, extended_laplacian_oracle, random_labels
 
 from multigrank.dataset import (
     Dataset,
@@ -23,6 +23,7 @@ from multigrank.graphs import (
     GraphSpec,
     build_graph,
     build_pool,
+    extend_graph,
     load_pool,
     save_pool,
 )
@@ -31,6 +32,7 @@ from multigrank.ranker import (
     HyperParams,
     RankModel,
     SingularSystemError,
+    combine_laplacians,
     grank_online,
     grank_solve,
     load_model,
@@ -45,6 +47,7 @@ from multigrank.ranker import (
     train_offline,
     write_ranked_tsv,
 )
+from multigrank.ranker import _database_system, _frozen_factor
 
 
 def small_pool(seed=0, n_classes=2, per_class=5, dim=3, m_specs=None):
@@ -392,6 +395,34 @@ class TestCollapsedTraining:
 
 
 class TestRankOnline:
+    def test_queries_build_no_graph(self, monkeypatch):
+        # the query path reads the frozen block and the query's own edges:
+        # no extended graph, and no Laplacian of a pooled graph
+        specs = [GraphSpec("gaussian", 2, 1.5), GraphSpec("dot_product", 4),
+                 GraphSpec("cosine", 3), GraphSpec("gaussian", 3, 0.8)]
+        ds, pool = small_pool(n_classes=3, m_specs=specs)
+        model = train_offline(pool, relevance_matrix(ds, 1), HyperParams(max_iters=3))
+        uniform = RankModel(GraphWeights(np.full(pool.m, 1.0 / pool.m)), model.params,
+                            pool.fingerprint, [])
+        x0 = ds.records[2].features + 0.05
+        expected = [rank_online(model, pool, ds, x0).scores,
+                    rank_online(uniform, pool, ds, x0).scores,
+                    grank_online(pool, 1, ds, x0, model.params).scores]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a graph or Laplacian built, or a direct solve, at query time")
+
+        fresh = GraphPool(pool.graphs, pool.fingerprint, pool.dim)
+        monkeypatch.setattr(BaseGraph, "laplacian", refuse)
+        monkeypatch.setattr(BaseGraph, "from_weights", refuse)
+        refuse_direct_solve(monkeypatch)
+        for p in (pool, fresh):
+            got = [rank_online(model, p, ds, x0).scores,
+                   rank_online(uniform, p, ds, x0).scores,
+                   grank_online(p, 1, ds, x0, model.params).scores]
+            for a, b in zip(got, expected):
+                assert np.array_equal(a, b)
+
     def test_duplicate_query_top_class(self):
         ds, pool = small_pool(seed=7, per_class=8)
         model = train_offline(pool, relevance_matrix(ds, 1), HyperParams(max_iters=5))
@@ -410,8 +441,6 @@ class TestRankOnline:
         assert np.abs(ranked.scores).max() <= 1e-6
 
     def test_matches_dense_inverse_of_extended_system(self):
-        from multigrank.graphs import extend_graph
-
         ds = dataset_from_arrays(
             [[0.1, 0.2], [0.3, 0.1], [0.8, 0.9], [0.9, 0.8], [0.45, 0.5]]
         )
@@ -421,10 +450,7 @@ class TestRankOnline:
         model = RankModel(weights, params, pool.fingerprint, [])
         x0 = np.array([0.2, 0.2])
         ranked = rank_online(model, pool, ds, x0)
-        L = sum(
-            w * extend_graph(g, ds, x0).laplacian().toarray()
-            for w, g in zip(weights.mu, pool.graphs)
-        )
+        L = extended_laplacian_oracle(pool.graphs, weights.mu, ds, x0)
         u = np.zeros(6)
         u[0] = 1.0
         oracle = np.linalg.inv(np.diag(u + params.ridge) + params.alpha * L) @ u
@@ -507,11 +533,9 @@ def weights_with_zeros(rng, m):
 
 
 def extended_laplacian(pool, mu, ds, x0):
-    """Combined extended Laplacian over every pooled graph, zero weights included."""
-    from multigrank.graphs import extend_graph
-    from multigrank.ranker import combine_laplacians
-
-    return combine_laplacians([extend_graph(g, ds, x0) for g in pool.graphs], mu)
+    """Combined extended Laplacian over every pooled graph, zero weights
+    included, as CSR: the oracle's, not the ranker's, build."""
+    return sp.csr_matrix(extended_laplacian_oracle(pool.graphs, mu, ds, x0))
 
 
 def query_selector(n):
@@ -572,8 +596,13 @@ class TestFrozenFactor:
         model = RankModel(mu, HyperParams(alpha=0.7, ridge=0.0), pool.fingerprint, [])
         x0 = cluster_query(rng, 0)
         u = query_selector(one.n)
-        direct = grank_solve(extended_laplacian(pool, mu.mu, one, x0), u, u.copy(), alpha=0.7)
+        K, inv = _frozen_factor(pool, mu.mu, 0.7, 0.0)
+        assert inv is None
+        L_q = combine_laplacians([extend_graph(g, one, x0) for g in pool.graphs], mu.mu, one.n)
+        direct = grank_solve(L_q, u, u.copy(), alpha=0.7, frozen=(K, None))
         assert np.array_equal(rank_online(model, pool, one, x0).scores, direct[1:])
+        oracle = grank_solve(extended_laplacian(pool, mu.mu, one, x0), u, u.copy(), alpha=0.7)
+        assert np.linalg.norm(direct - oracle) / np.linalg.norm(oracle) <= 1e-8
 
     def test_cache_follows_weights_and_params(self, monkeypatch):
         rng = np.random.default_rng(11)
@@ -638,18 +667,18 @@ class TestFrozenFactor:
                 assert err <= 1e-8
 
     def test_inverse_columns_on_both_sides_of_the_diagonal(self):
-        from multigrank.ranker import _frozen_factor, _inverse_columns, combine_laplacians
-
         ds = generate_synthetic(3, 10, 4, 1.0, 4.0, 6)
         pool = build_pool(ds, [GraphSpec("gaussian", 4, 2.0), GraphSpec("cosine", 3)])
         mu, alpha, ridge = np.array([0.3, 0.7]), 0.9, 1e-3
-        K = alpha * combine_laplacians(pool.graphs, mu).toarray() + ridge * np.eye(ds.n)
-        inv = _frozen_factor(pool, mu, alpha, ridge)
+        L_db = sum(m * g.laplacian().toarray() for m, g in zip(mu, pool.graphs))
+        K = alpha * L_db + ridge * np.eye(ds.n)
+        _, inv = _frozen_factor(pool, mu, alpha, ridge)
         # first, last and middle rows, unsorted, so each column has entries
         # both above and below the diagonal
         T = np.array([ds.n - 1, 0, ds.n // 2, 7])
         oracle = np.linalg.inv(K)[:, T]
-        Q = _inverse_columns(inv, T)
+        assert np.array_equal(inv, inv.T)
+        Q = inv[:, T]
         assert np.abs(Q - oracle).max() <= 1e-10 * np.abs(oracle).max()
 
 
@@ -661,6 +690,55 @@ def offset_clusters():
     X[30:] += 100.0
     ds = dataset_from_arrays(X, ["a"] * 30 + ["b"] * 30)
     return ds, build_pool(ds, [GraphSpec("gaussian", 3, 1.0)])
+
+
+def test_uniform_weights_select_once_per_measure(monkeypatch):
+    # the default grid's 14 graphs share four selection measures
+    import multigrank.ranker as ranker
+    from multigrank.graphs import default_spec_grid
+
+    ds = generate_synthetic(3, 10, 4, 1.0, 4.0, 2)
+    pool = build_pool(ds, default_spec_grid(ds))
+    model = RankModel(GraphWeights(np.full(pool.m, 1.0 / pool.m)), HyperParams(),
+                      pool.fingerprint, [])
+    x0 = ds.records[4].features + 0.1
+    # each graph selecting its own neighbours gives the same scores
+    mu, u = model.weights.mu, query_selector(ds.n)
+    L_q = combine_laplacians([extend_graph(g, ds, x0) for g in pool.graphs], mu, ds.n)
+    alone = grank_solve(L_q, u, u.copy(), 1.0, 1e-8, frozen=_frozen_factor(pool, mu, 1.0, 1e-8))
+    widths = []
+    select = ranker.query_neighbors
+
+    def counted(ds, x0, spec):
+        widths.append(spec.k)
+        return select(ds, x0, spec)
+
+    monkeypatch.setattr(ranker, "query_neighbors", counted)
+    assert np.array_equal(rank_online(model, pool, ds, x0).scores, alone[1:])
+    assert pool.m == 14 and widths == [10] * 4
+
+
+def test_ridge_zero_ignores_edges_of_graphs_of_weight_zero():
+    # a wide graph of weight 0 joins the two clusters: its edges are in the
+    # pool's edge table, at weight 0 under a one-hot mu, and must not count
+    from scipy.sparse.csgraph import connected_components
+
+    ds, narrow = offset_clusters()
+    pool = build_pool(ds, [narrow.graphs[0].spec, GraphSpec("gaussian", 40, 1000.0)])
+    table = pool.edge_table
+    pattern = sp.csr_matrix((np.ones(table.i.size), (table.i, table.j)), shape=(ds.n, ds.n))
+    assert connected_components(pattern, directed=False)[0] == 1
+    for mu in (np.array([1.0, 0.0]), np.array([0.0, 1.0])):
+        K, _ = _frozen_factor(pool, mu, 1.0, 0.0)
+        assert connected_components(K != 0, directed=False)[0] == 1 + mu[0]
+    params = HyperParams(ridge=0.0)
+    model = RankModel(GraphWeights(np.array([1.0, 0.0])), params, pool.fingerprint, [])
+    for x0 in (ds.records[0].features, ds.records[-1].features):
+        with pytest.raises(SingularSystemError, match="ridge"):
+            rank_online(model, pool, ds, x0)
+        with pytest.raises(SingularSystemError, match="ridge"):
+            grank_online(pool, 0, ds, x0, params)
+        assert np.isfinite(grank_online(pool, 1, ds, x0, params).scores).all()
 
 
 def test_ridge_zero_raises_for_a_component_without_the_query():
@@ -736,10 +814,15 @@ class TestConjugateGradientPath:
         ds, pool = self.connected_pool()
         mu = np.array([0.2, 0.5, 0.3])
         u = query_selector(ds.n)
+        # the frozen block without its inverse, as ridge 0 and large N give it
+        K, _ = _database_system(pool, mu, 0.8, ridge)
         for x0 in (ds.records[3].features, ds.records[-1].features + 0.2):
             L = extended_laplacian(pool, mu, ds, x0)
             f = grank_solve(L, u, u.copy(), alpha=0.8, ridge=ridge, frozen=None)
             oracle = np.linalg.inv(np.diag(u + ridge) + 0.8 * L.toarray()) @ u
+            assert np.linalg.norm(f - oracle) / np.linalg.norm(oracle) <= 1e-8
+            L_q = combine_laplacians([extend_graph(g, ds, x0) for g in pool.graphs], mu, ds.n)
+            f = grank_solve(L_q, u, u.copy(), alpha=0.8, ridge=ridge, frozen=(K, None))
             assert np.linalg.norm(f - oracle) / np.linalg.norm(oracle) <= 1e-8
 
     def test_chain_graph_within_the_step_cap(self, monkeypatch):
