@@ -1,10 +1,11 @@
 """k-NN graphs over a dataset under five weighting schemes.
 
-Each graph stores a sparse symmetric weight matrix W with zero diagonal, its
-degree vector, and exposes the Laplacian L = D - W on demand.  Edges follow
-the union rule: (i, j) is an edge iff j is among i's k nearest or vice versa.
-Negative similarities (possible for dot_product and cosine) are clamped to 0
-at assembly time so L stays positive semi-definite.
+Each graph is its edge list: every edge once as i < j, in row-major order,
+with its weight; the symmetric weight matrix W it stands for has a zero
+diagonal.  Edges follow the union rule: (i, j) is an edge iff j is among i's
+k nearest or vice versa.  Negative similarities (possible for dot_product and
+cosine) are clamped to 0 at assembly time so every Laplacian D - W formed
+from the graphs stays positive semi-definite.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .dataset import Dataset, dataset_fingerprint, json_field, json_fits, json_text
 from .specs import SCHEMES, GraphSpec
@@ -22,30 +22,26 @@ from .specs import SCHEMES, GraphSpec
 
 @dataclass(eq=False)
 class BaseGraph:
-    """One realized kNN graph: sparse symmetric weights and degree vector."""
+    """One realized kNN graph over ``n`` nodes: its edges ``i[e] < j[e]``
+    (int64, sorted row-major, each once) and their weights ``w[e]``, zero
+    weights included."""
 
     spec: GraphSpec
-    weights: sp.csr_matrix
-    degrees: np.ndarray
+    n: int
+    i: np.ndarray
+    j: np.ndarray
+    w: np.ndarray
 
     @property
-    def n(self) -> int:
-        return self.weights.shape[0]
+    def weights(self):
+        """The symmetric N x N weight matrix W, as CSR built on each read."""
+        import scipy.sparse as sp
 
-    def laplacian(self) -> sp.csr_matrix:
-        """L = D - W, materialized on demand."""
-        return (sp.diags(self.degrees) - self.weights).tocsr()
-
-    @classmethod
-    def from_weights(cls, spec: GraphSpec, weights) -> "BaseGraph":
-        """Wrap an explicit (sparse or dense) symmetric weight matrix, stored
-        as canonical CSR: a copy with sorted rows and duplicates summed when
-        ``weights`` is not already so, never reordered in place."""
-        w = sp.csr_matrix(weights)
-        if not w.has_canonical_format:
-            w = w.copy()
-            w.sum_duplicates()
-        return cls(spec=spec, weights=w, degrees=w @ np.ones(w.shape[0]))
+        return sp.csr_matrix(
+            (np.concatenate([self.w, self.w]),
+             (np.concatenate([self.i, self.j]), np.concatenate([self.j, self.i]))),
+            shape=(self.n, self.n),
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,12 +65,11 @@ class EdgeTable:
 
     @classmethod
     def from_graphs(cls, graphs, n: int) -> "EdgeTable":
-        parts = [sp.triu(graph.weights, k=1).tocoo() for graph in graphs]
-        keys = np.concatenate([p.row.astype(np.int64) * n + p.col for p in parts])
+        keys = np.concatenate([graph.i * n + graph.j for graph in graphs])
         union, edge_of = np.unique(keys, return_inverse=True)
-        weights = np.zeros((union.size, len(parts)))
-        graph_of = np.repeat(np.arange(len(parts)), [p.nnz for p in parts])
-        weights[edge_of, graph_of] = np.concatenate([p.data for p in parts])
+        weights = np.zeros((union.size, len(graphs)))
+        graph_of = np.repeat(np.arange(len(graphs)), [graph.i.size for graph in graphs])
+        weights[edge_of, graph_of] = np.concatenate([graph.w for graph in graphs])
         i, j = np.divmod(union, n)
         nodes = np.arange(n)
         rows = np.concatenate([nodes, i, j])
@@ -209,15 +204,6 @@ def _first_k(keys: np.ndarray, k: int) -> np.ndarray:
     """
     rows, cols = _candidates(keys, k, 0.0)
     return _ordered_first_k(rows, cols, keys[rows, cols], keys.shape[0], k)
-
-
-def _symmetric_graph(spec: GraphSpec, n: int, rows, cols, vals) -> BaseGraph:
-    """Graph whose W holds each upper-triangle triplet at (i, j) and (j, i)."""
-    weights = sp.csr_matrix(
-        (np.concatenate([vals, vals]), (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
-        shape=(n, n),
-    )
-    return BaseGraph.from_weights(spec, weights)
 
 
 def _filter_margin(sq_norms: np.ndarray, d: int, by_norm: bool) -> np.ndarray:
@@ -367,7 +353,7 @@ def knn_neighbors(ds: Dataset, spec: GraphSpec) -> np.ndarray:
 
 
 def build_graph(ds: Dataset, spec: GraphSpec, neighbors=None) -> BaseGraph:
-    """Realize a spec against a dataset: union-symmetrized kNN weight matrix.
+    """Realize a spec against a dataset: the union-symmetrized kNN edges.
 
     ``neighbors`` is the spec's (N, k) neighbor array when already selected,
     as ``build_pool`` does; by default it comes from ``knn_neighbors``.
@@ -380,12 +366,11 @@ def build_graph(ds: Dataset, spec: GraphSpec, neighbors=None) -> BaseGraph:
         raise ValueError(
             f"neighbors have shape {np.shape(neighbors)}, expected {(n, spec.k)}"
         )
-    rows = np.repeat(np.arange(n), spec.k)
+    rows = np.repeat(np.arange(n, dtype=np.int64), spec.k)
     cols = np.ravel(neighbors)
     # each union edge once, as i < j: weighing it once keeps W exactly symmetric
     i, j = np.divmod(np.unique(np.minimum(rows, cols) * n + np.maximum(rows, cols)), n)
-    vals = np.maximum(edge_weight(X[i], X[j], spec), 0.0)
-    return _symmetric_graph(spec, n, i, j, vals)
+    return BaseGraph(spec, n, i, j, np.maximum(edge_weight(X[i], X[j], spec), 0.0))
 
 
 def select_per_measure(specs, select):
@@ -485,13 +470,11 @@ def default_spec_grid(
 
 
 def save_pool(pool: GraphPool, path) -> None:
-    """Persist a pool: header plus per-graph upper-triangle weight triplets."""
+    """Persist a pool: header plus each graph's [i, j, weight] edge triplets."""
     graphs = []
     for graph in pool.graphs:
-        coo = sp.triu(graph.weights, k=1).tocoo()
-        triplets = [
-            [int(i), int(j), float(v)] for i, j, v in zip(coo.row, coo.col, coo.data)
-        ]
+        # json writes each tuple as an array
+        triplets = list(zip(graph.i.tolist(), graph.j.tolist(), graph.w.tolist()))
         graphs.append(
             {
                 "spec": {
@@ -517,8 +500,8 @@ def save_pool(pool: GraphPool, path) -> None:
 
 
 def _triplet_arrays(index: int, n: int, trip):
-    """Rows, columns and weights of the stored [i, j, weight] triplets;
-    rejects triplets that do not describe a simple weighted graph."""
+    """Rows, columns and weights of the stored [i, j, weight] triplets, sorted
+    row-major; rejects triplets that do not describe a simple weighted graph."""
 
     def fail(at, need):
         raise ValueError(f"pool file corrupt: graph {index} triplet {json_text(trip[at])}: {need}")
@@ -543,7 +526,7 @@ def _triplet_arrays(index: int, n: int, trip):
     repeat = np.flatnonzero(keys[order][1:] == keys[order][:-1])
     if repeat.size:
         fail(order[repeat[0] + 1], "edge (i, j) stored more than once")
-    return rows.astype(int), cols.astype(int), vals
+    return rows[order].astype(np.int64), cols[order].astype(np.int64), vals[order]
 
 
 def load_pool(path) -> GraphPool:
@@ -574,7 +557,6 @@ def load_pool(path) -> GraphPool:
         trip = json_field(entry, "triplets", list, at)
         if len(trip) != json_field(entry, "nnz", int, at):
             raise ValueError(f"{where}: triplet count differs from nnz")
-        rows, cols, vals = _triplet_arrays(index, n, trip)
-        graphs.append(_symmetric_graph(spec, n, rows, cols, vals))
+        graphs.append(BaseGraph(spec, n, *_triplet_arrays(index, n, trip)))
     return GraphPool(graphs=tuple(graphs), fingerprint=json_field(doc, "fingerprint", str, where),
                      dim=json_field(doc, "d", int, where))

@@ -30,9 +30,10 @@ import scipy.sparse as sp
 from .dataset import Dataset, RelevanceMatrix, dataset_fingerprint, json_field
 from .graphs import GraphPool, extend_graph, query_neighbors, query_vector, select_per_measure
 
-# largest extended system (N + 1 rows) whose database block is inverted
-# densely; larger systems take the direct path at every query
-DENSE_SOLVE_LIMIT = 4096
+# cap on the memory of the held inverse: the largest extended system (N + 1
+# rows) whose N x N database block is inverted, N^2 doubles (128 MB at
+# N = 4000); larger systems take the direct path at every query
+INVERSE_LIMIT = 4096
 # conjugate-gradient stopping tolerance, relative to each right-hand side
 CG_RTOL = 1e-14
 RESIDUAL_TOL = 1e-8
@@ -510,7 +511,7 @@ def _frozen_factor(pool: GraphPool, mu: np.ndarray, alpha: float, ridge: float):
     the lower triangle copied onto the upper), so no second N x N array is
     formed.  The pool holds the pair for the last (mu, alpha, ridge) asked
     for.  The inverse is None at ridge 0 (a Laplacian has the constant vector
-    in its null space), past DENSE_SOLVE_LIMIT (the N x N inverse is not
+    in its null space), past INVERSE_LIMIT (the N x N inverse is not
     held), or where Cholesky cannot factor K.
     """
     key = (mu.tobytes(), alpha, ridge)
@@ -521,7 +522,7 @@ def _frozen_factor(pool: GraphPool, mu: np.ndarray, alpha: float, ridge: float):
     K, _ = _database_system(pool, mu, alpha, ridge)
     K.eliminate_zeros()
     inv = None
-    if ridge > 0 and pool.n + 1 <= DENSE_SOLVE_LIMIT:
+    if ridge > 0 and pool.n + 1 <= INVERSE_LIMIT:
         # imported here: no process loads scipy.linalg before it inverts a block
         from scipy.linalg import lapack
 

@@ -4,7 +4,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from multigrank.dataset import Dataset, DomainRecord
-from multigrank.graphs import BaseGraph, _closeness, _first_k, edge_weight
+from multigrank.graphs import _closeness, _first_k, edge_weight
 
 
 def dataset_from_arrays(points, labels=None) -> Dataset:
@@ -27,10 +27,15 @@ def random_labels(rng, n, n_classes) -> list:
     return labels
 
 
-def extend_graph_oracle(graph, ds, x0):
+def laplacian_oracle(W) -> sp.csr_matrix:
+    """L = D - W as CSR, from a sparse weight matrix W, with degrees W @ 1."""
+    return (sp.diags(W @ np.ones(W.shape[0])) - W).tocsr()
+
+
+def extend_graph_oracle(graph, ds, x0) -> sp.csr_matrix:
     """Query extension by a coordinate-format build of the whole (N+1)^2
-    matrix: the graph with the query as node 0, joined to its k nearest
-    database nodes, and the database block unchanged."""
+    weight matrix: the graph with the query as node 0, joined to its k
+    nearest database nodes, and the database block unchanged."""
     X = ds.feature_matrix
     x0 = np.asarray(x0, dtype=np.float64).ravel()
     nbrs = _first_k(-_closeness(x0, X, graph.spec)[None, :], graph.spec.k)[0]
@@ -40,11 +45,11 @@ def extend_graph_oracle(graph, ds, x0):
     rows = np.concatenate([np.zeros(len(nbrs), dtype=int), nbrs + 1, base.row + 1])
     cols = np.concatenate([nbrs + 1, np.zeros(len(nbrs), dtype=int), base.col + 1])
     vals = np.concatenate([w, w, base.data])
-    return BaseGraph.from_weights(graph.spec, sp.csr_matrix((vals, (rows, cols)), shape=(n1, n1)))
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n1, n1))
 
 
 def extended_laplacian_oracle(graphs, mu, ds, x0) -> np.ndarray:
     """Dense sum of ``mu_m`` times each graph's extended Laplacian, built by
     ``extend_graph_oracle``; graphs of weight 0 included."""
-    return sum(w * extend_graph_oracle(g, ds, x0).laplacian().toarray()
+    return sum(w * laplacian_oracle(extend_graph_oracle(g, ds, x0)).toarray()
                for w, g in zip(mu, graphs))

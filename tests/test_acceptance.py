@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from helpers import dataset_from_arrays, extended_laplacian_oracle, random_labels
+from helpers import dataset_from_arrays, extended_laplacian_oracle, laplacian_oracle, random_labels
 
 from multigrank import cli
 from multigrank.dataset import (
@@ -41,6 +41,7 @@ from multigrank.ranker import (
     rank_pairwise_baseline,
     train_offline,
 )
+from multigrank.ranker import _database_system
 
 
 def _passed(num: int, note: str) -> None:
@@ -87,7 +88,7 @@ def test_criterion_2_solver_oracle_equivalence():
         pool = build_pool(ds, _random_specs(rng, n, m))
         mu = rng.dirichlet(np.ones(m))
         alpha = float(rng.uniform(0.1, 2.0))
-        laps = [g.laplacian().toarray() for g in pool.graphs]
+        laps = [laplacian_oracle(g.weights).toarray() for g in pool.graphs]
         L = sum(w * lap for w, lap in zip(mu, laps))
 
         u = (rng.random(n) < 0.5).astype(float)
@@ -168,11 +169,12 @@ def test_criterion_5_laplacian_invariants():
             X = rng.uniform(0.0, 1.0, size=(n, 6))
             k = int(rng.integers(2, 7))
             sigma = float(rng.uniform(0.3, 1.5)) if scheme == "gaussian" else None
-            graph = build_graph(dataset_from_arrays(X), GraphSpec(scheme, k, sigma))
-            W = graph.weights.toarray()
+            pool = build_pool(dataset_from_arrays(X), [GraphSpec(scheme, k, sigma)])
+            W = pool.graphs[0].weights.toarray()
             assert np.array_equal(W, W.T)
             assert np.array_equal(np.diag(W), np.zeros(n))
-            L = graph.laplacian().toarray()
+            # the Laplacian the library forms: the database system at shift 0
+            L = _database_system(pool, np.ones(1), 1.0, 0.0)[0].toarray()
             assert np.linalg.eigvalsh(L).min() >= -1e-10
             assert np.abs(L @ np.ones(n)).max() <= 1e-12
             for _ in range(3):

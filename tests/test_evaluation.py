@@ -261,7 +261,7 @@ _IMPORT_CONTRACT = [
      ("scipy.stats", "scipy.sparse.linalg")),
     ("import multigrank; assert set(multigrank.__all__) <= set(dir(multigrank))", ("scipy",)),
     (_CLI.format(argv=["gen", "--classes", "2", "--per-class", "6", "--dim", "3"]), ("scipy",)),
-    (_CLI.format(argv=["pool", *_DATA, "--k", "2"]), ("scipy.linalg",)),
+    (_CLI.format(argv=["pool", *_DATA, "--k", "2"]), ("scipy",)),
     (_CLI.format(argv=["train", *_DATA, "--model", "model.json", "--iters", "2"]),
      ("scipy.linalg",)),
 ]

@@ -3,11 +3,10 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dataset_from_arrays, extend_graph_oracle
+from helpers import dataset_from_arrays, extend_graph_oracle, laplacian_oracle
 
 from multigrank.dataset import generate_synthetic
 from multigrank.graphs import (
@@ -26,7 +25,7 @@ from multigrank.graphs import (
     save_pool,
     select_per_measure,
 )
-from multigrank.ranker import combine_laplacians
+from multigrank.ranker import _database_system, combine_laplacians
 
 
 def spec_for(scheme, k, sigma=1.0):
@@ -173,6 +172,8 @@ class TestKnn:
             ]
             graph = build_pool(ds, [spec_for(scheme, 4)]).graphs[0]
             assert graph.weights[0, 2] == graph.weights[0, 1] == 0.0
+            # zero-weight edges stay edges
+            assert {(0, 1), (0, 2)} <= set(zip(graph.i.tolist(), graph.j.tolist()))
         zeros = dataset_from_arrays(np.zeros((5, 3)))
         for scheme in ("gaussian", "dot_product", "tanimoto", "jaccard"):
             for k in range(1, 5):
@@ -280,6 +281,19 @@ class TestGraphSpec:
         with pytest.raises(ValueError, match="scheme"):
             GraphSpec("euclid", 3)
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, "3", None])
+    def test_k_must_be_an_integer(self, k):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            GraphSpec("cosine", k)
+
+    def test_numpy_integer_k_accepted(self):
+        assert GraphSpec("cosine", np.int64(3)) == GraphSpec("cosine", 3)
+
+    @pytest.mark.parametrize("sigma", [math.inf, -math.inf, math.nan])
+    def test_gaussian_sigma_must_be_finite(self, sigma):
+        with pytest.raises(ValueError, match="finite sigma"):
+            GraphSpec("gaussian", 3, sigma)
+
 
 def quad_form_oracle(W, f):
     n = W.shape[0]
@@ -295,7 +309,7 @@ class TestBuildGraph:
         ds = dataset_from_arrays([[0.0], [1.0]])
         g = build_graph(ds, GraphSpec("gaussian", 1, 1e12))
         assert np.array_equal(g.weights.toarray(), [[0.0, 1.0], [1.0, 0.0]])
-        assert np.array_equal(g.laplacian().toarray(), [[1.0, -1.0], [-1.0, 1.0]])
+        assert np.array_equal(laplacian_oracle(g.weights).toarray(), [[1.0, -1.0], [-1.0, 1.0]])
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_invariants_on_random_data(self, scheme):
@@ -306,7 +320,7 @@ class TestBuildGraph:
         assert np.array_equal(W, W.T)
         assert np.array_equal(np.diag(W), np.zeros(14))
         assert W.min() >= 0
-        L = g.laplacian().toarray()
+        L = laplacian_oracle(g.weights).toarray()
         assert np.abs(L @ np.ones(14)).max() <= 1e-12
         assert np.linalg.eigvalsh(L).min() >= -1e-10
         # union rule only adds edges on top of each node's own k
@@ -316,8 +330,8 @@ class TestBuildGraph:
         rng = np.random.default_rng(2)
         X = rng.uniform(0.1, 1.0, size=(8, 3))
         g = build_graph(dataset_from_arrays(X), spec_for("gaussian", 3, sigma=0.5))
-        L = g.laplacian().toarray()
         W = g.weights.toarray()
+        L = laplacian_oracle(g.weights).toarray()
         for _ in range(5):
             f = rng.normal(size=8)
             assert abs(f @ L @ f - quad_form_oracle(W, f)) <= 1e-10
@@ -336,7 +350,8 @@ class TestBuildGraph:
         rng = np.random.default_rng(4)
         X = rng.uniform(0.1, 1.0, size=(12, 4))
         for scheme in SCHEMES:
-            L = build_graph(dataset_from_arrays(X), spec_for(scheme, 3)).laplacian().toarray()
+            g = build_graph(dataset_from_arrays(X), spec_for(scheme, 3))
+            L = laplacian_oracle(g.weights).toarray()
             for _ in range(200):
                 f = rng.normal(size=12)
                 assert f @ L @ f >= -1e-10
@@ -417,7 +432,29 @@ class TestPool:
         for g_old, g_new in zip(pool.graphs, back.graphs):
             assert g_old.spec == g_new.spec
             assert np.array_equal(g_old.weights.toarray(), g_new.weights.toarray())
-            assert np.allclose(g_old.degrees, g_new.degrees, atol=1e-15)
+            for name in ("i", "j", "w"):
+                old, new = getattr(g_old, name), getattr(g_new, name)
+                assert old.dtype == new.dtype and old.tobytes() == new.tobytes()
+
+    def test_shuffled_triplets_load_sorted(self, tmp_path):
+        import json
+
+        ds = generate_synthetic(3, 5, 4, 1.0, 6.0, 3)
+        path = tmp_path / "pool.json"
+        save_pool(build_pool(ds, default_spec_grid(ds, k_values=(3,))), path)
+        doc = json.loads(path.read_text())
+        rng = np.random.default_rng(0)
+        for entry in doc["graphs"]:
+            rng.shuffle(entry["triplets"])
+        shuffled = tmp_path / "shuffled.json"
+        shuffled.write_text(json.dumps(doc))
+        assert shuffled.read_bytes() != path.read_bytes()
+        for g_sorted, g_shuffled in zip(load_pool(path).graphs, load_pool(shuffled).graphs):
+            for name in ("i", "j", "w"):
+                a, b = getattr(g_sorted, name), getattr(g_shuffled, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        save_pool(load_pool(shuffled), tmp_path / "again.json")
+        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
 
     def test_file_stores_upper_triplets(self, tmp_path):
         import json
@@ -567,14 +604,14 @@ class TestExtend:
         x0 = ds.records[target].features
         nbrs, w = extend_graph(g, ds, x0)
         assert w[nbrs.tolist().index(target)] == 1.0
-        W = extend_graph_oracle(g, ds, x0).weights.toarray()
+        W = extend_graph_oracle(g, ds, x0).toarray()
         assert W[0, target + 1] == 1.0 and W[target + 1, 0] == 1.0
 
     def test_laplacian_invariants(self):
         # the query's edges plus the frozen database block: the extended Laplacian
         ds, g = self._setup()
         L = query_laplacian(g, ds, np.full(3, 0.5)).toarray()
-        L[1:, 1:] += g.laplacian().toarray()
+        L[1:, 1:] += laplacian_oracle(g.weights).toarray()
         assert np.abs(L @ np.ones(g.n + 1)).max() <= 1e-12
         assert np.linalg.eigvalsh(L).min() >= -1e-10
 
@@ -587,11 +624,11 @@ class TestExtend:
         block = L[1:, 1:]
         assert np.array_equal(block, np.diag(np.diag(block)))
         ext = extend_graph_oracle(g, ds, x0)
-        assert np.array_equal(ext.weights.toarray()[1:, 1:], g.weights.toarray())
+        assert np.array_equal(ext.toarray()[1:, 1:], g.weights.toarray())
         row0 = -L[0]
         row0[0] = 0.0
         assert (row0 != 0).sum() == g.spec.k
-        assert np.array_equal(row0, ext.weights.toarray()[0])
+        assert np.array_equal(row0, ext.toarray()[0])
         for j in np.nonzero(row0)[0]:
             expected = max(edge_weight(x0, ds.records[j - 1].features, g.spec), 0.0)
             assert row0[j] == expected
@@ -631,13 +668,10 @@ class TestExtend:
             assert nbrs.dtype == own.dtype and nbrs.tobytes() == own.tobytes()
             keys = [-rounded_closeness(x0, x, spec.scheme) for x in X]
             assert own.tolist() == np.argsort(keys, kind="stable")[: spec.k].tolist()
-            graph = BaseGraph.from_weights(spec, sp.csr_matrix((ds.n, ds.n)))
+            no_edges = np.empty(0, dtype=np.int64)
+            graph = BaseGraph(spec, ds.n, no_edges, no_edges, np.empty(0))
             for a, b in zip(extend_graph(graph, ds, x0, nbrs), extend_graph(graph, ds, x0)):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
-def laplacian_oracle(graph):
-    return (sp.diags(graph.degrees) - graph.weights).tocsr()
 
 
 def assert_same_bits(a, b):
@@ -648,34 +682,15 @@ def assert_same_bits(a, b):
     assert a.data.dtype == b.data.dtype and a.data.tobytes() == b.data.tobytes()
 
 
-def arbitrary_weights(rng, n, kind):
-    """Weight matrices of every form a BaseGraph may hold: dense or sparse,
-    asymmetric, with explicit zeros, diagonal entries, rows whose only entry
-    is on the diagonal, unsorted rows and duplicate entries."""
-    dense = rng.choice([0.0, 0.0, 0.5, 1.0, 2.0, 1e-3], size=(n, n))
-    dense *= rng.uniform(0.5, 2.0, size=(n, n))
-    if rng.random() < 0.5:
-        dense = dense + dense.T
-    if rng.random() < 0.5:
-        np.fill_diagonal(dense, 0.0)
+def arbitrary_graph(rng, n, spec):
+    """A graph of any edge set a BaseGraph may hold: random edges i < j with
+    explicit zero weights, and a node with no edge."""
     lonely = rng.integers(n)
-    dense[lonely] = 0.0
-    dense[lonely, lonely] = rng.choice([0.0, 1.5])
-    if kind == "dense":
-        return dense
-    rows, cols = np.nonzero(rng.random((n, n)) < 0.6)
-    vals = dense[rows, cols]  # explicit zeros where dense has none
-    if kind == "duplicates":
-        again = rng.integers(len(rows), size=len(rows))
-        rows = np.concatenate([rows, rows[again]])
-        cols = np.concatenate([cols, cols[again]])
-        vals = np.concatenate([vals, rng.uniform(-1.0, 1.0, size=len(again))])
-    # rows stay grouped; unless canonical, the entries of each are shuffled
-    within = cols if kind == "canonical" else rng.random(len(rows))
-    order = np.lexsort((within, rows))
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
-    return sp.csr_matrix((vals, cols, indptr), shape=(n, n))
+    chosen = np.triu(rng.random((n, n)) < 0.6, k=1)
+    chosen[lonely] = chosen[:, lonely] = False
+    i, j = np.nonzero(chosen)
+    w = rng.choice([0.0, 0.0, 0.5, 1.0, 2.0, 1e-3], size=i.size) * rng.uniform(0.5, 2.0, i.size)
+    return BaseGraph(spec, n, i, j, w)
 
 
 def assert_query_row_matches(graph, ds, x0):
@@ -684,14 +699,14 @@ def assert_query_row_matches(graph, ds, x0):
     the query row bit for bit, the database rows to rounding."""
     nbrs, w = extend_graph(graph, ds, x0)
     oracle = extend_graph_oracle(graph, ds, x0)
-    row = oracle.weights.getrow(0)
+    row = oracle.getrow(0)
     assert np.array_equal(nbrs + 1, row.indices) and w.tobytes() == row.data.tobytes()
     L_q = query_laplacian(graph, ds, x0)
     full = laplacian_oracle(oracle)
     assert_same_bits(L_q.getrow(0), full.getrow(0))
-    assert L_q[0, 0] == oracle.degrees[0]
+    assert L_q[0, 0] == (oracle @ np.ones(graph.n + 1))[0]
     L = L_q.toarray()
-    L[1:, 1:] += graph.laplacian().toarray()
+    L[1:, 1:] += laplacian_oracle(graph.weights).toarray()
     assert np.abs(L - full.toarray()).max() <= 1e-14 * np.abs(full.toarray()).max()
 
 
@@ -699,21 +714,14 @@ class TestCsrAssembly:
     """combine_laplacians assembles CSR arrays directly from extend_graph's
     edges; its query row, which is all the inverse path reads, must equal
     the sparse-format build of the extended graph's Laplacian bit for bit,
-    as BaseGraph.laplacian must equal D - W."""
+    and the database system at one-hot weights must equal D - W."""
 
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        n=st.integers(2, 12),
-        scheme=st.sampled_from(SCHEMES),
-        kind=st.sampled_from(["canonical", "dense", "unsorted", "duplicates"]),
-    )
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12), scheme=st.sampled_from(SCHEMES))
     @settings(max_examples=200, deadline=None)
-    def test_extend_and_laplacian_match_sparse_builds(self, seed, n, scheme, kind):
+    def test_extend_and_laplacian_match_sparse_builds(self, seed, n, scheme):
         rng = np.random.default_rng(seed)
         ds = dataset_from_arrays(rng.uniform(0.1, 1.0, size=(n, 3)))
-        spec = spec_for(scheme, int(rng.integers(1, n + 1)))
-        graph = BaseGraph.from_weights(spec, arbitrary_weights(rng, n, kind))
-        assert_same_bits(graph.laplacian(), laplacian_oracle(graph))
+        graph = arbitrary_graph(rng, n, spec_for(scheme, int(rng.integers(1, n + 1))))
         # half the time a copy of a database point
         x0 = ds.feature_matrix[rng.integers(n)] if rng.random() < 0.5 else rng.uniform(0.1, 1.0, 3)
         assert_query_row_matches(graph, ds, x0)
@@ -721,8 +729,10 @@ class TestCsrAssembly:
     def test_pool_graphs_match_sparse_builds(self):
         ds = generate_synthetic(3, 20, 4, 1.0, 4.0, 3)
         pool = build_pool(ds, default_spec_grid(ds))
-        for graph in pool.graphs:
-            assert_same_bits(graph.laplacian(), laplacian_oracle(graph))
+        for m, graph in enumerate(pool.graphs):
+            L = _database_system(pool, np.eye(pool.m)[m], 1.0, 0.0)[0].toarray()
+            oracle = laplacian_oracle(graph.weights).toarray()
+            assert np.abs(L - oracle).max() <= 1e-14 * np.abs(oracle).max()
             for x0 in (ds.feature_matrix[7], np.full(4, 0.25)):
                 assert_query_row_matches(graph, ds, x0)
 
@@ -731,24 +741,3 @@ def test_median_pairwise_distance_hand_case():
     X = np.array([[0.0], [1.0], [3.0]])
     # pairwise distances 1, 3, 2 -> median 2
     assert median_pairwise_distance(X) == 2.0
-
-
-def test_from_weights_stores_canonical_copy():
-    # unsorted rows with a duplicate entry: stored sorted and summed, while
-    # the caller's arrays stay as they were
-    W = sp.csr_matrix((np.array([1.0, 2.0, 0.5, 2.0]), np.array([2, 1, 2, 0]),
-                       np.array([0, 3, 4, 4])), shape=(3, 3))
-    before = [a.copy() for a in (W.data, W.indices, W.indptr)]
-    g = BaseGraph.from_weights(spec_for("gaussian", 1), W)
-    assert g.weights.has_canonical_format
-    assert np.array_equal(g.weights.toarray(), W.toarray())
-    for a, b in zip((W.data, W.indices, W.indptr), before):
-        assert np.array_equal(a, b)
-
-
-def test_from_weights_matches_build():
-    ds = generate_synthetic(2, 4, 3, 1.0, 4.0, 2)
-    g = build_graph(ds, spec_for("gaussian", 2))
-    clone = BaseGraph.from_weights(g.spec, g.weights.toarray())
-    assert np.array_equal(clone.weights.toarray(), g.weights.toarray())
-    assert np.allclose(clone.degrees, g.degrees, atol=1e-15)
