@@ -19,8 +19,7 @@ _ORIGIN = {
             "split_queries",
         ),
         "evaluation": (
-            "CurvePoint", "EvalReport", "auc", "auc_from_scores", "confusion_at_k",
-            "evaluate_queries", "roc_curve",
+            "Curve", "EvalReport", "auc", "auc_from_scores", "evaluate_queries", "roc_curve",
         ),
         "specs": ("SCHEMES", "GraphSpec"),
         "graphs": (

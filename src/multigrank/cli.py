@@ -103,6 +103,17 @@ def _load_checked_pool(cfg: RunConfig, ds):
     return pool
 
 
+def _load_checked_model(cfg: RunConfig, ds):
+    """The checked pool and the model trained on it."""
+    from . import ranker
+
+    pool = _load_checked_pool(cfg, ds)
+    model = ranker.load_model(_require(cfg.model, "model"))
+    if model.pool_fingerprint != pool.fingerprint:
+        raise ValueError("model fingerprint does not match pool")
+    return pool, model
+
+
 def cmd_gen(cfg: RunConfig) -> None:
     """Generate a synthetic database plus a query set in the chosen mode."""
     out = _out_dir(cfg)
@@ -150,18 +161,19 @@ def cmd_train(cfg: RunConfig) -> None:
     print(f"model -> {path}")
 
 
-def _make_arm(cfg: RunConfig, ds, pool, model):
+def _make_arm(baseline: str, graph_index: int, ds, pool, model):
+    """The ranking arm ``query -> RankedList``; grank ranks on graph ``graph_index``."""
     from . import ranker
 
-    if cfg.baseline == "multig":
+    if baseline == "multig":
         return lambda q: ranker.rank_online(model, pool, ds, q.features, model.params, q.id)
-    if cfg.baseline == "grank":
+    if baseline == "grank":
         return lambda q: ranker.grank_online(
-            pool, cfg.graph_index, ds, q.features, model.params, q.id
+            pool, graph_index, ds, q.features, model.params, q.id
         )
-    if cfg.baseline == "pairwise":
+    if baseline == "pairwise":
         return lambda q: ranker.rank_pairwise_baseline(ds, q.features, q.id)
-    raise ValueError(f"unknown baseline {cfg.baseline!r}")
+    raise ValueError(f"unknown baseline {baseline!r}")
 
 
 def cmd_rank(cfg: RunConfig) -> None:
@@ -172,11 +184,8 @@ def cmd_rank(cfg: RunConfig) -> None:
     queries = load_dataset(_require(cfg.queries, "queries"))
     pool = model = None
     if cfg.baseline != "pairwise":
-        pool = _load_checked_pool(cfg, ds)
-        model = ranker.load_model(_require(cfg.model, "model"))
-        if model.pool_fingerprint != pool.fingerprint:
-            raise ValueError("model fingerprint does not match pool")
-    arm = _make_arm(cfg, ds, pool, model)
+        pool, model = _load_checked_model(cfg, ds)
+    arm = _make_arm(cfg.baseline, cfg.graph_index, ds, pool, model)
     out = _out_dir(cfg)
     for query in queries.records:
         ranked = arm(query)
@@ -186,31 +195,24 @@ def cmd_rank(cfg: RunConfig) -> None:
 
 def cmd_eval(cfg: RunConfig) -> None:
     """Evaluate all arms over the query set; reports, curves and a summary table."""
-    from . import evaluation, ranker
+    from . import evaluation
 
     ds = load_dataset(_require(cfg.dataset, "dataset"))
     queries = load_dataset(_require(cfg.queries, "queries"))
-    pool = _load_checked_pool(cfg, ds)
-    model = ranker.load_model(_require(cfg.model, "model"))
-    if model.pool_fingerprint != pool.fingerprint:
-        raise ValueError("model fingerprint does not match pool")
+    pool, model = _load_checked_model(cfg, ds)
     out = _out_dir(cfg)
 
-    multig = evaluation.evaluate_queries(
-        lambda q: ranker.rank_online(model, pool, ds, q.features, model.params, q.id),
-        ds, queries, cfg.level,
-    )
+    def evaluate(baseline, graph_index=0):
+        arm = _make_arm(baseline, graph_index, ds, pool, model)
+        return evaluation.evaluate_queries(arm, ds, queries, cfg.level)
+
+    multig = evaluate("multig")
     best_idx, best_report = 0, None
     for idx in range(pool.m):
-        report = evaluation.evaluate_queries(
-            lambda q, i=idx: ranker.grank_online(pool, i, ds, q.features, model.params, q.id),
-            ds, queries, cfg.level,
-        )
+        report = evaluate("grank", idx)
         if best_report is None or report.mean_auc > best_report.mean_auc:
             best_idx, best_report = idx, report
-    pairwise = evaluation.evaluate_queries(
-        lambda q: ranker.rank_pairwise_baseline(ds, q.features, q.id), ds, queries, cfg.level
-    )
+    pairwise = evaluate("pairwise")
 
     arms = [("multig", multig), (f"grank[g{best_idx}]", best_report), ("pairwise", pairwise)]
     for name, report in arms:

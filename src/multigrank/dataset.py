@@ -291,11 +291,19 @@ def relevance_matrix(ds: Dataset, level: int) -> RelevanceMatrix:
     """
     if level < 1:
         raise ValueError("level must be >= 1")
-    prefixes = [rec.label_prefix(level) for rec in ds.records]
-    codes: dict[tuple[str, ...], int] = {}
-    gid = np.array([codes.setdefault(p, len(codes)) for p in prefixes], dtype=np.int64)
+    gid = group_ids(ds.records, level)
     gid.setflags(write=False)
     return RelevanceMatrix(gid=gid, level=level)
+
+
+def group_ids(records, level: int) -> np.ndarray:
+    """One integer code per record for its label prefix at ``level``,
+    numbered in order of first appearance; checks every label's depth."""
+    codes: dict[tuple[str, ...], int] = {}
+    return np.array(
+        [codes.setdefault(rec.label_prefix(level), len(codes)) for rec in records],
+        dtype=np.int64,
+    )
 
 
 def generate_synthetic(

@@ -1,8 +1,9 @@
-"""Retrieval evaluation: confusion counts, ROC / recall-precision curves, AUC.
+"""Retrieval evaluation: ROC / recall-precision curves and AUC on arrays.
 
-Per-query curves enumerate every returned-list length k = 0..N.  AUC is
-reported from the rank statistic (ties get half credit), which coincides with
-the trapezoidal area under the ROC curve whenever scores are tie-free.
+Relevance is a boolean mask over the database in its own order.  Per-query
+curves enumerate every returned-list length k = 0..N.  AUC is reported from
+the rank statistic (ties get half credit), which coincides with the
+trapezoidal area under the ROC curve whenever scores are tie-free.
 Query-set aggregation averages tpr (resp. precision) vertically on a fixed
 fpr (resp. recall) grid.
 """
@@ -11,11 +12,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
-from .dataset import Dataset, DomainRecord
+from .dataset import Dataset, DomainRecord, group_ids
 
 if TYPE_CHECKING:  # annotations only: importing ranker would load scipy
     from .ranker import RankedList
@@ -23,18 +24,15 @@ if TYPE_CHECKING:  # annotations only: importing ranker would load scipy
 GRID_POINTS = 101
 
 
-@dataclass(frozen=True)
-class CurvePoint:
-    """Confusion-derived rates at one returned-list length.
+class Curve(NamedTuple):
+    """Rates at every returned-list length k = 0..N, one array each.
 
-    ``precision`` is None at k = 0 (0/0); tpr and recall are the same formula.
+    ``tpr`` is also the recall; ``precision[0]`` is NaN (0/0).
     """
 
-    k: int
-    tpr: float
-    fpr: float
-    recall: float
-    precision: float | None
+    fpr: np.ndarray
+    tpr: np.ndarray
+    precision: np.ndarray
 
 
 @dataclass(eq=False)
@@ -65,54 +63,29 @@ def save_report(report: EvalReport, path) -> None:
         fh.write("\n")
 
 
-def confusion_at_k(ranked: RankedList, relevant: set, k: int):
-    """(TP, FP, TN, FN) when the top-k of the ranking is returned."""
-    n = len(ranked.item_ids)
-    if not 0 <= k <= n:
-        raise ValueError(f"k={k} out of range for a {n}-item ranking")
-    if not relevant:
-        raise ValueError("relevant set is empty")
-    tp = sum(1 for rec_id in ranked.top_ids(k) if rec_id in relevant)
-    fp = k - tp
-    fn = len(relevant) - tp
-    tn = n - k - fn
-    return tp, fp, tn, fn
+def roc_curve(ranked: RankedList, relevant_mask) -> Curve:
+    """Curve over every list length k = 0..N; the mask is in database order.
 
-
-def roc_curve(ranked: RankedList, relevant: set) -> list[CurvePoint]:
-    """Curve points for every list length k = 0..N.
-
-    Needs both classes present: 1 <= |relevant| <= N-1.
+    Needs both classes present: 1 <= mask.sum() <= N-1.
     """
-    n = len(ranked.item_ids)
-    p = len(relevant)
+    mask = np.asarray(relevant_mask, dtype=bool)
+    n = mask.size
+    if ranked.order.shape != mask.shape:
+        raise ValueError(f"relevance mask of {n} items for a {ranked.order.size}-item ranking")
+    p = int(mask.sum())
     if not 1 <= p <= n - 1:
         raise ValueError("degenerate relevance: need at least one relevant and one irrelevant item")
-    hits = np.fromiter(
-        (ranked.item_ids[i] in relevant for i in ranked.order), dtype=bool, count=n
-    )
-    tp = np.concatenate([[0], np.cumsum(hits)])
-    points = []
-    for k in range(n + 1):
-        tpr = tp[k] / p
-        fpr = (k - tp[k]) / (n - p)
-        points.append(
-            CurvePoint(
-                k=k,
-                tpr=tpr,
-                fpr=fpr,
-                recall=tpr,
-                precision=None if k == 0 else tp[k] / k,
-            )
-        )
-    return points
+    tp = np.concatenate([[0], np.cumsum(mask[ranked.order])])
+    k = np.arange(n + 1)
+    precision = np.empty(n + 1)
+    precision[0] = np.nan
+    precision[1:] = tp[1:] / k[1:]
+    return Curve(fpr=(k - tp) / (n - p), tpr=tp / p, precision=precision)
 
 
-def auc(curve: list[CurvePoint]) -> float:
-    """Trapezoidal area under the ROC points."""
-    fpr = np.array([pt.fpr for pt in curve])
-    tpr = np.array([pt.tpr for pt in curve])
-    return float(np.trapezoid(tpr, fpr))
+def auc(curve: Curve) -> float:
+    """Trapezoidal area under the ROC curve."""
+    return float(np.trapezoid(curve.tpr, curve.fpr))
 
 
 def _average_ranks(a: np.ndarray) -> np.ndarray:
@@ -139,16 +112,14 @@ def auc_from_scores(scores: np.ndarray, relevant_mask: np.ndarray) -> float:
     return float((ranks[mask].sum() - p * (p + 1) / 2.0) / (p * neg))
 
 
-def _roc_on_grid(curve: list[CurvePoint], grid: np.ndarray) -> np.ndarray:
-    fpr = np.array([pt.fpr for pt in curve])
-    tpr = np.array([pt.tpr for pt in curve])
+def _roc_on_grid(curve: Curve, grid: np.ndarray) -> np.ndarray:
+    fpr, tpr = curve.fpr, curve.tpr
     keep = np.r_[fpr[1:] != fpr[:-1], True]  # last point at each fpr
     return np.interp(grid, fpr[keep], tpr[keep])
 
 
-def _pr_on_grid(curve: list[CurvePoint], grid: np.ndarray) -> np.ndarray:
-    recall = np.array([pt.recall for pt in curve[1:]])
-    precision = np.array([pt.precision for pt in curve[1:]])
+def _pr_on_grid(curve: Curve, grid: np.ndarray) -> np.ndarray:
+    recall, precision = curve.tpr[1:], curve.precision[1:]
     keep = np.r_[True, recall[1:] != recall[:-1]]  # best precision at each recall
     return np.interp(grid, recall[keep], precision[keep])
 
@@ -161,28 +132,31 @@ def evaluate_queries(
 ) -> EvalReport:
     """Run the ranker over a query set and aggregate ROC/AUC at a label depth.
 
-    A query whose relevant set is empty (or covers the whole database, which
-    leaves no negatives to rank against) is skipped and counted in the report.
+    A query is relevant to the database records that share its label prefix.
+    A query with no such record (or with every record, which leaves no
+    negatives to rank against) is skipped and counted in the report.  The
+    ranker must score the database in its own order: ``item_ids == ds.ids``.
     """
-    for rec in list(ds.records) + list(queries.records):
-        rec.label_prefix(level)  # validates depth
+    gid = group_ids(ds.records + queries.records, level)
+    db_gid, query_gid = gid[: ds.n], gid[ds.n :]
+    sizes = np.bincount(db_gid, minlength=gid.size)  # codes are < gid.size
     grid = np.linspace(0.0, 1.0, GRID_POINTS)
     per_query: list[tuple[str, float]] = []
     tpr_rows: list[np.ndarray] = []
     prec_rows: list[np.ndarray] = []
     skipped = 0
-    for query in queries.records:
-        prefix = query.label_prefix(level)
-        relevant = {rec.id for rec in ds.records if rec.label_prefix(level) == prefix}
-        if not 1 <= len(relevant) <= ds.n - 1:
+    for query, code in zip(queries.records, query_gid):
+        if not 1 <= sizes[code] <= ds.n - 1:
             skipped += 1
             continue
         ranked = ranker(query)
-        mask = np.fromiter(
-            (rec_id in relevant for rec_id in ranked.item_ids), dtype=bool, count=ds.n
-        )
+        if ranked.item_ids != ds.ids:
+            raise ValueError(
+                f"query {query.id!r}: ranking is not over the database ids in database order"
+            )
+        mask = db_gid == code
         per_query.append((query.id, auc_from_scores(ranked.scores, mask)))
-        curve = roc_curve(ranked, relevant)
+        curve = roc_curve(ranked, mask)
         tpr_rows.append(_roc_on_grid(curve, grid))
         prec_rows.append(_pr_on_grid(curve, grid))
     if not per_query:

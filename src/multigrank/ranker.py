@@ -442,12 +442,13 @@ def offline_objective(pool: GraphPool, F: np.ndarray, Y, mu: GraphWeights,
     ``F`` has one column per column of ``Y``, as offline_f_update returns it.
     """
     Z, gid, _ = _relevance_columns(Y)
-    resid = F - Z[..., gid]
-    return float(
-        np.sum(resid * resid)
-        + alpha * (smoothness_terms(pool, F) @ mu.mu)
-        + beta * (mu.mu @ mu.mu)
-    )
+    return _objective(F - Z[..., gid], smoothness_terms(pool, F), mu, alpha, beta)
+
+
+def _objective(resid: np.ndarray, e: np.ndarray, mu: GraphWeights,
+               alpha: float, beta: float) -> float:
+    """``||resid||^2 + alpha e'mu + beta ||mu||^2``, the one form of the objective."""
+    return float(np.sum(resid * resid) + alpha * (e @ mu.mu) + beta * (mu.mu @ mu.mu))
 
 
 def train_offline(pool: GraphPool, Y, params: HyperParams) -> RankModel:
@@ -477,11 +478,7 @@ def train_offline(pool: GraphPool, Y, params: HyperParams) -> RankModel:
         G = offline_f_update(pool, mu, Z, params.alpha, x0=G)
         e = smoothness_terms(pool, G * scale)
         mu = minimize_weights(e, params.alpha, params.beta)
-        resid = (G - Z) * scale
-        obj = float(
-            np.sum(resid * resid) + params.alpha * (e @ mu.mu) + params.beta * (mu.mu @ mu.mu)
-        )
-        trace.append(obj)
+        trace.append(_objective((G - Z) * scale, e, mu, params.alpha, params.beta))
         if params.tol > 0 and len(trace) >= 2 and trace[-2] - trace[-1] < params.tol:
             break
     return RankModel(

@@ -30,7 +30,9 @@ class GraphSpec:
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.scheme == "gaussian":
-            if self.sigma is None or not (self.sigma > 0 and math.isfinite(self.sigma)):
-                raise ValueError(f"gaussian scheme requires finite sigma > 0, got {self.sigma!r}")
+            sigma = self.sigma
+            if (isinstance(sigma, bool) or not isinstance(sigma, numbers.Real)
+                    or not (sigma > 0 and math.isfinite(sigma))):
+                raise ValueError(f"gaussian scheme requires finite sigma > 0, got {sigma!r}")
         elif self.sigma is not None:
             raise ValueError(f"sigma does not apply to the {self.scheme!r} scheme")

@@ -252,8 +252,7 @@ def test_criterion_7_auc_equals_pair_statistic():
         mask = np.zeros(n, dtype=bool)
         mask[rng.choice(n, size=int(rng.integers(1, n)), replace=False)] = True
         ids = tuple(f"x{i}" for i in range(n))
-        relevant = {ids[i] for i in np.nonzero(mask)[0]}
-        trapezoid = auc(roc_curve(make_ranked("q", scores, ids), relevant))
+        trapezoid = auc(roc_curve(make_ranked("q", scores, ids), mask))
         assert abs(trapezoid - pair_count_auc(scores, mask)) <= 1e-12
 
     means = []
@@ -262,8 +261,7 @@ def test_criterion_7_auc_equals_pair_statistic():
         mask = np.zeros(40, dtype=bool)
         mask[:15] = True
         ids = tuple(f"x{i}" for i in range(40))
-        relevant = {ids[i] for i in range(15)}
-        means.append(auc(roc_curve(make_ranked("q", scores, ids), relevant)))
+        means.append(auc(roc_curve(make_ranked("q", scores, ids), mask)))
     assert 0.45 <= float(np.mean(means)) <= 0.55
     _passed(7, "trapezoid == pair statistic to 1e-12; random scores average near 0.5")
 
@@ -273,11 +271,14 @@ def test_criterion_8_metric_identities_and_relevance_depth():
     for _ in range(25):
         n = int(rng.integers(4, 20))
         ids = tuple(f"x{i}" for i in range(n))
-        relevant = set(rng.choice(ids, size=int(rng.integers(1, n)), replace=False))
-        curve = roc_curve(make_ranked("q", rng.normal(size=n), ids), relevant)
-        assert all(pt.tpr == pt.recall for pt in curve)
-        assert (curve[0].fpr, curve[0].tpr) == (0.0, 0.0)
-        assert (curve[-1].fpr, curve[-1].tpr) == (1.0, 1.0)
+        p = int(rng.integers(1, n))
+        mask = np.isin(np.arange(n), rng.choice(n, size=p, replace=False))
+        curve = roc_curve(make_ranked("q", rng.normal(size=n), ids), mask)
+        # tpr is the recall TP / p, and precision is TP / k at every k >= 1
+        k = np.arange(1, n + 1)
+        np.testing.assert_allclose(curve.precision[1:] * k, curve.tpr[1:] * p, rtol=0, atol=1e-12)
+        assert (curve.fpr[0], curve.tpr[0]) == (0.0, 0.0)
+        assert (curve.fpr[-1], curve.tpr[-1]) == (1.0, 1.0)
 
     # nested labels: relevant sets can only shrink as the depth grows
     base = generate_synthetic(3, 12, 4, 1.0, 8.0, 0)
@@ -289,7 +290,8 @@ def test_criterion_8_metric_identities_and_relevance_depth():
     deep = relevance_matrix(nested, 2).entries.sum(axis=0)
     assert (shallow >= deep).all()
     assert (shallow > deep).any()
-    _passed(8, "tpr == recall everywhere, exact ROC endpoints, deeper labels shrink relevance")
+    _passed(8, "precision*k == tpr*p everywhere, exact ROC endpoints, "
+               "deeper labels shrink relevance")
 
 
 def _run_cli_pipeline(base):

@@ -402,14 +402,17 @@ _WALKTHROUGH = [
     " --level 1 --beta 1000",
     "rank --out run/spread --dataset run/database.csv --pool run/pool.json"
     " --model run/spread.json --queries run/queries.csv",
+    "eval --out run/eval --dataset run/database.csv --pool run/pool.json"
+    " --model run/model.json --queries run/queries.csv --level 1",
 ]
 
 
 def test_walkthrough_rank_bytes_golden(tmp_path):
     # sha256 over (name, bytes) of each arm's rank TSVs as ranked by extended
-    # graphs built per query (numpy 2.4.6, scipy 1.17.1, x86-64).  Rank bytes
-    # depend on the BLAS thread count through the LAPACK inverse, so the
-    # walkthrough runs in a fresh process on one thread.
+    # graphs built per query, and of every file `eval` writes (numpy 2.4.6,
+    # scipy 1.17.1, x86-64).  Rank bytes depend on the BLAS thread count
+    # through the LAPACK inverse, so the walkthrough runs in a fresh process
+    # on one thread.
     code = "\n".join(["from multigrank import cli"] + [
         f"assert cli.main({argv.split()!r}) == 0" for argv in _WALKTHROUGH
     ])
@@ -419,14 +422,16 @@ def test_walkthrough_rank_bytes_golden(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     digests = {}
-    for arm in ("ranks", "spread"):
+    for arm, pattern, count in (("ranks", "*.tsv", 10), ("spread", "*.tsv", 10),
+                                ("eval", "*", 13)):
         h = hashlib.sha256()
-        files = sorted((tmp_path / "run" / arm).glob("*.tsv"))
-        assert len(files) == 10
+        files = sorted((tmp_path / "run" / arm).glob(pattern))
+        assert len(files) == count
         for path in files:
             h.update(path.name.encode() + b"\0" + path.read_bytes())
         digests[arm] = h.hexdigest()
     assert digests == {
         "ranks": "9de115aa776b8f22e770ecfa38eb6710fa20c405b14fa86577cf9dbd26b41b24",
         "spread": "c7f61d1cce24355fe754d96513481240818006e19e7ab770f521fdd6ac21c235",
+        "eval": "c88d926a82a7b40451f8fbdbbd23cd5e4649bfb1d30495067a4ad07c6315c787",
     }

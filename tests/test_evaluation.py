@@ -14,7 +14,6 @@ from multigrank.dataset import generate_synthetic, relevance_matrix, split_queri
 from multigrank.evaluation import (
     auc,
     auc_from_scores,
-    confusion_at_k,
     evaluate_queries,
     roc_curve,
     save_report,
@@ -30,40 +29,12 @@ def ranking(ids, scores):
 
 
 IDS5 = ("a", "b", "c", "d", "e")
+AB = np.array([True, True, False, False, False])  # relevant: a and b
 
 
-class TestConfusion:
-    def test_empty_list(self):
-        ranked = ranking(IDS5, [5, 4, 3, 2, 1])
-        assert confusion_at_k(ranked, {"a", "b"}, 0) == (0, 0, 3, 2)
-
-    def test_full_list(self):
-        ranked = ranking(IDS5, [5, 4, 3, 2, 1])
-        tp, fp, tn, fn = confusion_at_k(ranked, {"a", "b"}, 5)
-        assert (fn, tn) == (0, 0) and tp == 2 and fp == 3
-
-    def test_hand_enumerated(self):
-        # top-3 is {a, c, d}, relevant {a, b}: a is the one hit, c and d are
-        # false alarms, b is missed, e is correctly left out
-        ranked = ranking(IDS5, [5, 1, 4, 3, 0])
-        assert ranked.top_ids(3) == ("a", "c", "d")
-        assert confusion_at_k(ranked, {"a", "b"}, 3) == (1, 2, 1, 1)
-        tp, fp, tn, fn = confusion_at_k(ranked, {"a", "b"}, 3)
-        assert tp + fp + tn + fn == 5
-
-    def test_k_out_of_range(self):
-        ranked = ranking(IDS5, [5, 4, 3, 2, 1])
-        with pytest.raises(ValueError, match="out of range"):
-            confusion_at_k(ranked, {"a"}, 6)
-
-    def test_empty_relevant(self):
-        ranked = ranking(IDS5, [5, 4, 3, 2, 1])
-        with pytest.raises(ValueError, match="empty"):
-            confusion_at_k(ranked, set(), 2)
-
-
-def roc_oracle(ranked, relevant):
+def roc_oracle(ranked, mask):
     """Exhaustive threshold enumeration from the confusion counts."""
+    relevant = {ranked.item_ids[i] for i in np.flatnonzero(mask)}
     n = len(ranked.item_ids)
     p = len(relevant)
     pts = []
@@ -74,53 +45,67 @@ def roc_oracle(ranked, relevant):
     return pts
 
 
+def random_mask(rng, n):
+    """A mask over n items with both classes present."""
+    mask = np.zeros(n, dtype=bool)
+    mask[rng.choice(n, size=int(rng.integers(1, n)), replace=False)] = True
+    return mask
+
+
 class TestRocCurve:
     def test_perfect_ranking_hits_corner(self):
         ranked = ranking(IDS5, [5, 4, 3, 2, 1])
-        curve = roc_curve(ranked, {"a", "b"})
-        assert any(pt.fpr == 0.0 and pt.tpr == 1.0 for pt in curve)
+        curve = roc_curve(ranked, AB)
+        assert np.any((curve.fpr == 0.0) & (curve.tpr == 1.0))
         assert auc(curve) == 1.0
 
     def test_inverted_ranking(self):
         ranked = ranking(IDS5, [1, 2, 3, 4, 5])
-        curve = roc_curve(ranked, {"a", "b"})
-        assert any(pt.fpr == 1.0 and pt.tpr == 0.0 for pt in curve)
+        curve = roc_curve(ranked, AB)
+        assert np.any((curve.fpr == 1.0) & (curve.tpr == 0.0))
         assert auc(curve) == 0.0
 
     def test_matches_threshold_enumeration(self):
         rng = np.random.default_rng(1)
         ids = tuple(f"x{i}" for i in range(10))
         ranked = ranking(ids, rng.normal(size=10))
-        relevant = {"x0", "x3", "x7"}
-        curve = roc_curve(ranked, relevant)
-        assert [(pt.tpr, pt.fpr) for pt in curve] == roc_oracle(ranked, relevant)
+        mask = np.isin(np.arange(10), [0, 3, 7])
+        curve = roc_curve(ranked, mask)
+        assert list(zip(curve.tpr, curve.fpr)) == roc_oracle(ranked, mask)
 
     def test_monotone_and_endpoints(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
             n = int(rng.integers(3, 12))
             ids = tuple(f"x{i}" for i in range(n))
-            relevant = set(rng.choice(ids, size=int(rng.integers(1, n)), replace=False))
-            curve = roc_curve(ranking(ids, rng.normal(size=n)), relevant)
-            assert (curve[0].fpr, curve[0].tpr) == (0.0, 0.0)
-            assert (curve[-1].fpr, curve[-1].tpr) == (1.0, 1.0)
-            fprs = [pt.fpr for pt in curve]
-            tprs = [pt.tpr for pt in curve]
-            assert all(a <= b for a, b in zip(fprs, fprs[1:]))
-            assert all(a <= b for a, b in zip(tprs, tprs[1:]))
+            curve = roc_curve(ranking(ids, rng.normal(size=n)), random_mask(rng, n))
+            assert all(a.shape == (n + 1,) for a in curve)
+            assert (curve.fpr[0], curve.tpr[0]) == (0.0, 0.0)
+            assert (curve.fpr[-1], curve.tpr[-1]) == (1.0, 1.0)
+            assert np.all(np.diff(curve.fpr) >= 0)
+            assert np.all(np.diff(curve.tpr) >= 0)
 
     def test_tpr_equals_recall_and_precision_conventions(self):
+        # recall is tpr: TP = tpr * P = precision * k at every k >= 1
         ranked = ranking(IDS5, [5, 1, 4, 3, 0])
-        curve = roc_curve(ranked, {"a", "b"})
-        for pt in curve:
-            assert pt.tpr == pt.recall
-        assert curve[0].precision is None
-        assert curve[1].precision == 1.0
+        curve = roc_curve(ranked, AB)
+        k = np.arange(1, 6)
+        np.testing.assert_allclose(curve.precision[1:] * k, curve.tpr[1:] * 2, rtol=0, atol=1e-12)
+        assert np.isnan(curve.precision[0])
+        assert curve.precision[1] == 1.0
+        # top-3 is {a, c, d}: one of the two relevant, two of three false alarms
+        assert ranked.top_ids(3) == ("a", "c", "d")
+        assert (curve.tpr[3], curve.fpr[3], curve.precision[3]) == (0.5, 2 / 3, 1 / 3)
 
     def test_degenerate_relevance(self):
         ranked = ranking(IDS5, [5, 4, 3, 2, 1])
         with pytest.raises(ValueError, match="degenerate"):
-            roc_curve(ranked, set(IDS5))
+            roc_curve(ranked, np.ones(5, dtype=bool))
+
+    def test_mask_length_must_match(self):
+        ranked = ranking(IDS5, [5, 4, 3, 2, 1])
+        with pytest.raises(ValueError, match="mask of 4 items"):
+            roc_curve(ranked, AB[:4])
 
 
 def pair_count_auc(scores, mask):
@@ -144,10 +129,8 @@ class TestAuc:
             n = int(rng.integers(4, 15))
             ids = tuple(f"x{i}" for i in range(n))
             scores = rng.normal(size=n)
-            mask = np.zeros(n, dtype=bool)
-            mask[rng.choice(n, size=int(rng.integers(1, n)), replace=False)] = True
-            relevant = {ids[i] for i in np.nonzero(mask)[0]}
-            value = auc(roc_curve(ranking(ids, scores), relevant))
+            mask = random_mask(rng, n)
+            value = auc(roc_curve(ranking(ids, scores), mask))
             assert abs(value - pair_count_auc(scores, mask)) <= 1e-12
 
     def test_rank_statistic_handles_ties(self):
@@ -168,9 +151,9 @@ class TestAuc:
         rng = np.random.default_rng(4)
         ids = tuple(f"x{i}" for i in range(12))
         scores = rng.normal(size=12)
-        relevant = set(rng.choice(ids, size=5, replace=False))
-        base = auc(roc_curve(ranking(ids, scores), relevant))
-        warped = auc(roc_curve(ranking(ids, np.exp(scores)), relevant))
+        mask = np.isin(np.arange(12), rng.choice(12, size=5, replace=False))
+        base = auc(roc_curve(ranking(ids, scores), mask))
+        warped = auc(roc_curve(ranking(ids, np.exp(scores)), mask))
         assert base == warped
 
 
@@ -212,6 +195,19 @@ class TestEvaluateQueries:
         )
         assert report.skipped == 1
         assert [qid for qid, _ in report.per_query] == ["r0"]
+
+    def test_ranking_in_another_order_rejected(self):
+        arm, db, queries = self._multig()
+
+        def reordered(q):
+            ranked = arm(q)
+            perm = np.arange(db.n)[::-1]
+            return make_ranked(ranked.query_id, ranked.scores[perm],
+                               [ranked.item_ids[i] for i in perm])
+
+        query = queries.records[0].id
+        with pytest.raises(ValueError, match=f"query {query!r}: ranking is not over"):
+            evaluate_queries(reordered, db, queries, 1)
 
     def test_report_schema_and_save(self, tmp_path):
         arm, db, queries = self._multig()

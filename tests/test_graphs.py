@@ -289,7 +289,10 @@ class TestGraphSpec:
     def test_numpy_integer_k_accepted(self):
         assert GraphSpec("cosine", np.int64(3)) == GraphSpec("cosine", 3)
 
-    @pytest.mark.parametrize("sigma", [math.inf, -math.inf, math.nan])
+    def test_numpy_real_sigma_accepted(self):
+        assert GraphSpec("gaussian", 3, np.float32(0.5)) == GraphSpec("gaussian", 3, 0.5)
+
+    @pytest.mark.parametrize("sigma", [math.inf, -math.inf, math.nan, "x", True])
     def test_gaussian_sigma_must_be_finite(self, sigma):
         with pytest.raises(ValueError, match="finite sigma"):
             GraphSpec("gaussian", 3, sigma)
