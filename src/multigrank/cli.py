@@ -182,14 +182,19 @@ def cmd_rank(cfg: RunConfig) -> None:
 
     ds = load_dataset(_require(cfg.dataset, "dataset"))
     queries = load_dataset(_require(cfg.queries, "queries"))
+    names = {}
+    for query in queries.records:
+        name = f"rank_{_safe_name(query.id)}.tsv"
+        if name in names:
+            raise ValueError(f"query ids {names[name]!r} and {query.id!r} both write {name}")
+        names[name] = query.id
     pool = model = None
     if cfg.baseline != "pairwise":
         pool, model = _load_checked_model(cfg, ds)
     arm = _make_arm(cfg.baseline, cfg.graph_index, ds, pool, model)
     out = _out_dir(cfg)
-    for query in queries.records:
-        ranked = arm(query)
-        ranker.write_ranked_tsv(ranked, out / f"rank_{_safe_name(query.id)}.tsv")
+    for name, query in zip(names, queries.records):
+        ranker.write_ranked_tsv(arm(query), out / name)
     print(f"ranked {queries.n} queries ({cfg.baseline}) -> {out}")
 
 

@@ -118,7 +118,6 @@ class RelevanceMatrix:
     """
 
     gid: np.ndarray
-    level: int
 
     @property
     def entries(self) -> np.ndarray:
@@ -293,7 +292,7 @@ def relevance_matrix(ds: Dataset, level: int) -> RelevanceMatrix:
         raise ValueError("level must be >= 1")
     gid = group_ids(ds.records, level)
     gid.setflags(write=False)
-    return RelevanceMatrix(gid=gid, level=level)
+    return RelevanceMatrix(gid=gid)
 
 
 def group_ids(records, level: int) -> np.ndarray:

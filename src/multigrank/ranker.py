@@ -287,22 +287,6 @@ def combine_laplacians(edges, mu: np.ndarray, n: int) -> sp.csr_matrix:
     return sp.csr_matrix((data, indices, indptr), shape=(n + 1, n + 1))
 
 
-def _relevance_columns(Y):
-    """Distinct relevance columns ``Z``, the column of ``Z`` behind each column
-    of ``Y`` (``gid``), and how many columns of ``Y`` share each one.
-
-    A RelevanceMatrix stands for ``Z[:, gid]`` with ``Z`` its N x C one-hot class
-    indicator.  A plain array is its own ``Z``, each column its own group.
-    """
-    if isinstance(Y, RelevanceMatrix):
-        gid = Y.gid
-        Z = (gid[:, None] == np.arange(gid.max() + 1)).astype(np.float64)
-    else:
-        Z = np.asarray(Y, dtype=np.float64)
-        gid = np.arange(Z.shape[-1])
-    return Z, gid, np.bincount(gid)
-
-
 def _database_system(pool: GraphPool, mu: np.ndarray, alpha: float, shift: float):
     """``A = shift I + alpha (D - W)`` for ``W = sum_m mu_m W_m``, as CSR on
     the edge table's fixed pattern, and its diagonal: the training system at
@@ -380,27 +364,27 @@ def offline_f_update(pool: GraphPool, mu: GraphWeights, Y, alpha: float,
     """Exact score-matrix update: solve (I + alpha sum_m mu_m L_m) F = Y.
 
     The system matrix is identity plus a PSD term, hence always nonsingular,
-    with its spectrum in [1, 1 + 2 alpha max degree].  Only the distinct
-    columns of ``Y`` are solved for, by Jacobi-preconditioned conjugate
-    gradients on the pool's edge table; the result has one column per column
-    of ``Y``.  ``x0``, shaped like the result, is an optional starting guess,
-    such as the scores of the previous weights.  Raises SingularSystemError,
-    with the message of ``_training_failure``, when the result fails the
-    RESIDUAL_TOL check.
+    with its spectrum in [1, 1 + 2 alpha max degree].  ``Y`` is an (N,) or
+    (N, c) float array, and every one of its columns is solved, together, by
+    Jacobi-preconditioned conjugate gradients on the pool's edge table; the
+    result has Y's shape.  ``x0``, of that shape too, is an optional starting
+    guess, such as the scores of the previous weights.  Any other shape of Y
+    or x0 raises ValueError.  Raises SingularSystemError, with the message of
+    ``_training_failure``, when the result fails the RESIDUAL_TOL check.
     """
-    Z, gid, _ = _relevance_columns(Y)
-    B = Z.reshape(pool.n, -1)
-    X0 = None
-    if x0 is not None:
-        X0 = np.zeros(Z.shape)
-        X0[..., gid] = x0
-        X0 = X0.reshape(B.shape)
+    Y = np.asarray(Y, dtype=np.float64)
+    n = pool.n
+    if Y.ndim not in (1, 2) or Y.shape[0] != n:
+        raise ValueError(f"relevance has shape {Y.shape}, the pool needs ({n},) or ({n}, c)")
+    if x0 is not None and np.shape(x0) != Y.shape:
+        raise ValueError(f"x0 has shape {np.shape(x0)}, the relevance has shape {Y.shape}")
+    B = Y.reshape(n, -1)
     A, diag = _database_system(pool, mu.mu, alpha, 1.0)
-    X, _ = _block_cg(A, diag, B, X0)
+    X, _ = _block_cg(A, diag, B, None if x0 is None else np.reshape(x0, B.shape))
     rel = _relative_residuals(A, X, B)
     if not (rel <= RESIDUAL_TOL).all():
         raise _training_failure(rel, diag)
-    return X.reshape(Z.shape)[..., gid]
+    return X.reshape(Y.shape)
 
 
 def smoothness_terms(pool: GraphPool, F: np.ndarray) -> np.ndarray:
@@ -439,10 +423,13 @@ def offline_objective(pool: GraphPool, F: np.ndarray, Y, mu: GraphWeights,
                       alpha: float, beta: float) -> float:
     """Joint objective: squared relevance misfit + weighted roughness + ||mu||^2 term.
 
-    ``F`` has one column per column of ``Y``, as offline_f_update returns it.
+    ``F`` and ``Y`` are float arrays of one shape, as offline_f_update takes
+    and returns them; shapes that differ raise ValueError.
     """
-    Z, gid, _ = _relevance_columns(Y)
-    return _objective(F - Z[..., gid], smoothness_terms(pool, F), mu, alpha, beta)
+    Y = np.asarray(Y, dtype=np.float64)
+    if np.shape(F) != Y.shape:
+        raise ValueError(f"scores have shape {np.shape(F)}, the relevance has shape {Y.shape}")
+    return _objective(F - Y, smoothness_terms(pool, F), mu, alpha, beta)
 
 
 def _objective(resid: np.ndarray, e: np.ndarray, mu: GraphWeights,
@@ -451,7 +438,7 @@ def _objective(resid: np.ndarray, e: np.ndarray, mu: GraphWeights,
     return float(np.sum(resid * resid) + alpha * (e @ mu.mu) + beta * (mu.mu @ mu.mu))
 
 
-def train_offline(pool: GraphPool, Y, params: HyperParams) -> RankModel:
+def train_offline(pool: GraphPool, Y: RelevanceMatrix, params: HyperParams) -> RankModel:
     """Learn graph weights by alternating exact conditional minimization.
 
     Starts from uniform weights and runs at most ``params.max_iters`` rounds of
@@ -460,16 +447,20 @@ def train_offline(pool: GraphPool, Y, params: HyperParams) -> RankModel:
     non-increasing.  When ``params.tol`` > 0, stops early once the objective
     decrease falls below it.
 
-    Columns of ``Y`` in one relevance group share one score column, so only
-    the C distinct columns ``G`` are solved for, and each group's terms are
-    weighted by its size n_c: ``e_m = sum_c n_c g_c' L_m g_c`` and
+    ``Y`` is ``relevance_matrix(ds, level)``, which stands for ``Z[:, gid]``
+    with ``Z`` the N x C class indicator; anything else raises TypeError.
+    Columns in one class share one score column, so only the C columns ``G``
+    of ``Z`` are solved for, and each class's terms are weighted by its size
+    n_c: ``e_m = sum_c n_c g_c' L_m g_c`` and
     ``||F - Y||^2 = sum_c n_c ||g_c - z_c||^2``.  Each score solve starts
     from the previous ``G``, so once mu settles it takes no CG steps.
     """
-    Z, _, counts = _relevance_columns(Y)
-    if Z.shape[0] != pool.n:
+    if not isinstance(Y, RelevanceMatrix):
+        raise TypeError(f"train_offline takes a RelevanceMatrix, got {type(Y).__name__}")
+    if Y.gid.shape != (pool.n,):
         raise ValueError("relevance matrix and pool have different sizes")
-    scale = np.sqrt(counts)
+    Z = (Y.gid[:, None] == np.arange(Y.gid.max() + 1)).astype(np.float64)
+    scale = np.sqrt(np.bincount(Y.gid))
     m = pool.m
     mu = GraphWeights(np.full(m, 1.0 / m))
     trace: list[float] = []

@@ -138,6 +138,21 @@ class TestRank:
         first = (out / "rank_probe.tsv").read_text().splitlines()[1].split("\t")
         assert first[1] == dup.id and float(first[2]) == pytest.approx(1.0)
 
+    def test_clashing_file_names_are_rejected(self, tmp_path, workspace, capsys):
+        # "q/1" and "q_1" are distinct ids, but both are written as rank_q_1.tsv
+        row = load_dataset(workspace["queries"]).records[0]
+        tail = f"{'/'.join(row.label)},{','.join(repr(float(v)) for v in row.features)}\n"
+        qpath = tmp_path / "q.csv"
+        qpath.write_text("id,label,f1,f2,f3,f4,f5,f6\n" + f"q/1,{tail}" + f"q_1,{tail}")
+        out = tmp_path / "ranks"
+        assert cli.main([
+            "rank", "--out", str(out), "--dataset", str(workspace["db"]),
+            "--queries", str(qpath), "--baseline", "pairwise",
+        ]) == 1
+        err = capsys.readouterr().err
+        assert "'q/1'" in err and "'q_1'" in err and "rank_q_1.tsv" in err
+        assert not out.exists()
+
     def test_grank_arm_delegates_to_single_graph(self, tmp_path, workspace):
         out = tmp_path / "ranks"
         assert cli.main([

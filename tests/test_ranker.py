@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 
 import numpy as np
@@ -106,10 +107,10 @@ class TestGrankSolve:
 class TestFUpdate:
     def test_alpha_zero_returns_relevance(self):
         ds, pool = small_pool()
-        Y = relevance_matrix(ds, 1)
+        Y = relevance_matrix(ds, 1).entries
         mu = GraphWeights(np.array([0.5, 0.5]))
         F = offline_f_update(pool, mu, Y, alpha=0.0)
-        assert np.array_equal(F, Y.entries)
+        assert np.array_equal(F, Y)
 
     def test_single_graph_equals_columnwise_grank(self):
         ds, pool = small_pool(m_specs=[GraphSpec("gaussian", 3, 1.0)])
@@ -129,22 +130,23 @@ class TestFUpdate:
             [GraphSpec("gaussian", 2, 0.8), GraphSpec("cosine", 3), GraphSpec("tanimoto", 2)],
         )
         mu = GraphWeights(np.array([0.2, 0.5, 0.3]))
-        Y = relevance_matrix(dataset_from_arrays(rng.normal(size=(8, 2)), ["a"] * 4 + ["b"] * 4), 1)
+        Y = relevance_matrix(dataset_from_arrays(rng.normal(size=(8, 2)), ["a"] * 4 + ["b"] * 4),
+                             1).entries
         alpha = 1.3
         F = offline_f_update(pool, mu, Y, alpha)
         A = np.eye(8) + alpha * sum(
             w * laplacian_oracle(g.weights).toarray() for w, g in zip(mu.mu, pool.graphs)
         )
-        oracle = np.linalg.inv(A) @ Y.entries
+        oracle = np.linalg.inv(A) @ Y
         assert np.linalg.norm(F - oracle) / np.linalg.norm(oracle) <= 1e-8
 
     def test_cg_path_agrees_with_dense(self):
         ds, pool = small_pool(per_class=8)
-        Y = relevance_matrix(ds, 1)
+        Y = relevance_matrix(ds, 1).entries
         mu = GraphWeights(np.array([0.4, 0.6]))
         A = np.eye(ds.n) + sum(w * laplacian_oracle(g.weights).toarray()
                                for w, g in zip(mu.mu, pool.graphs))
-        oracle = np.linalg.inv(A) @ Y.entries
+        oracle = np.linalg.inv(A) @ Y
         rng = np.random.default_rng(2)
         for x0 in (None, np.zeros((ds.n, ds.n)), oracle, rng.normal(size=(ds.n, ds.n))):
             F = offline_f_update(pool, mu, Y, 1.0, x0=x0)
@@ -175,7 +177,7 @@ class TestFUpdate:
         ds, pool = small_pool()
         with pytest.raises(SingularSystemError):
             offline_f_update(pool, GraphWeights(np.array([0.5, 0.5])),
-                             relevance_matrix(ds, 1), alpha)
+                             relevance_matrix(ds, 1).entries, alpha)
 
     def test_zero_column_is_solved_by_zero(self):
         ds, pool = small_pool()
@@ -184,6 +186,28 @@ class TestFUpdate:
         F = offline_f_update(pool, GraphWeights(np.array([0.5, 0.5])), Z, 1.0,
                              x0=np.ones((ds.n, 2)))
         assert np.array_equal(F[:, 0], np.zeros(ds.n)) and F[0, 1] > 0
+
+    def test_vector_relevance_keeps_its_shape(self):
+        ds, pool = small_pool()
+        mu = GraphWeights(np.array([0.5, 0.5]))
+        Y = relevance_matrix(ds, 1).entries
+        F = offline_f_update(pool, mu, Y[:, 0], 1.0)
+        assert F.shape == (ds.n,)
+        assert np.array_equal(F, offline_f_update(pool, mu, Y[:, :1], 1.0)[:, 0])
+
+    @pytest.mark.parametrize("shape", [(20,), (5, 2), (10, 2, 1), ()])
+    def test_relevance_of_another_shape_raises(self, shape):
+        ds, pool = small_pool()
+        with pytest.raises(ValueError, match=rf"shape {re.escape(str(shape))}.*\(10,\) or \(10, c\)"):
+            offline_f_update(pool, GraphWeights(np.array([0.5, 0.5])), np.ones(shape), 1.0)
+
+    @pytest.mark.parametrize("x0", [0.0, np.zeros(10), np.zeros((10, 3)), np.zeros((20, 1))])
+    def test_start_of_another_shape_raises(self, x0):
+        ds, pool = small_pool()
+        shape = re.escape(str(np.shape(x0)))
+        with pytest.raises(ValueError, match=rf"x0 has shape {shape}.*shape \(10, 2\)"):
+            offline_f_update(pool, GraphWeights(np.array([0.5, 0.5])), np.ones((10, 2)), 1.0,
+                             x0=x0)
 
 
 def grid_minimizer(e, alpha, beta, step=1e-3):
@@ -284,11 +308,20 @@ class TestTrainOffline:
         Y = relevance_matrix(ds, 1)
         params = HyperParams(max_iters=3)
         model = train_offline(pool, Y, params)
-        F = offline_f_update(pool, model.weights, Y, params.alpha)
+        F = offline_f_update(pool, model.weights, Y.entries, params.alpha)
         # trace entries are objective values; recomputing at the final weights
         # reproduces the last entry once F is re-solved for those weights
-        obj = offline_objective(pool, F, Y, model.weights, params.alpha, params.beta)
+        obj = offline_objective(pool, F, Y.entries, model.weights, params.alpha, params.beta)
         assert obj <= model.objective_trace[-1] + 1e-9
+
+    @pytest.mark.parametrize("cols", [np.s_[:, 0], np.s_[:, :1]], ids=["vector", "column"])
+    def test_objective_of_mismatched_shapes_raises(self, cols):
+        ds, pool = small_pool()
+        mu = GraphWeights(np.array([0.5, 0.5]))
+        Y = relevance_matrix(ds, 1).entries
+        F = offline_f_update(pool, mu, Y, 1.0)
+        with pytest.raises(ValueError, match=r"scores have shape \(10, 10\).*shape \(10,"):
+            offline_objective(pool, F, Y[cols], mu, 1.0, 1.0)
 
     def test_ill_conditioned_training_names_the_bound(self):
         # dot-product weights of ~1e7 with alpha = 100 spread the spectrum of
@@ -304,6 +337,13 @@ class TestTrainOffline:
         assert "relative residual" in message
         bound = 1.0 + 2.0 * 100.0 * laplacian_oracle(pool.graphs[0].weights).diagonal().max()
         assert f"1 + 2 alpha d_max = {bound:.3g}" in message
+
+    @pytest.mark.parametrize("make", [lambda rel: rel.entries, lambda rel: rel.gid],
+                             ids=["entries", "gid"])
+    def test_relevance_must_be_a_relevance_matrix(self, make):
+        ds, pool = small_pool()
+        with pytest.raises(TypeError, match="RelevanceMatrix"):
+            train_offline(pool, make(relevance_matrix(ds, 1)), HyperParams(max_iters=2))
 
     def test_early_stop_requires_positive_tol(self):
         ds, pool = small_pool(seed=4)
@@ -327,6 +367,11 @@ def reference_train(pool, Y, params):
             np.sum(resid * resid) + params.alpha * (e @ mu.mu) + params.beta * (mu.mu @ mu.mu)
         ))
     return mu, trace
+
+
+def class_indicator(rel):
+    """The N x C one-hot class indicator behind a RelevanceMatrix, from its gid."""
+    return (rel.gid[:, None] == np.arange(rel.gid.max() + 1)).astype(np.float64)
 
 
 class TestCollapsedTraining:
@@ -361,7 +406,7 @@ class TestCollapsedTraining:
         assert np.allclose(model.objective_trace, trace, rtol=1e-12, atol=0.0)
         assert np.abs(model.weights.mu - mu.mu).max() <= 1e-12
 
-        F = offline_f_update(pool, model.weights, Y, alpha)
+        F = offline_f_update(pool, model.weights, Y.entries, alpha)
         A = np.eye(n) + alpha * sum(
             w * laplacian_oracle(g.weights).toarray() for w, g in zip(model.weights.mu, pool.graphs)
         )
@@ -378,7 +423,7 @@ class TestCollapsedTraining:
 
         monkeypatch.setattr(RelevanceMatrix, "entries", property(refuse))
         model = train_offline(pool, Y, HyperParams(max_iters=3))
-        offline_f_update(pool, model.weights, Y, alpha=1.0)
+        offline_f_update(pool, model.weights, class_indicator(Y), alpha=1.0)
 
     def test_training_never_densifies(self, monkeypatch):
         import multigrank.ranker as ranker
@@ -392,7 +437,7 @@ class TestCollapsedTraining:
         monkeypatch.setattr(ranker, "_solve_spd", refuse)
         monkeypatch.setattr(BaseGraph, "weights", property(refuse))
         model = train_offline(pool, Y, HyperParams(max_iters=3))
-        offline_f_update(pool, model.weights, Y, alpha=1.0)
+        offline_f_update(pool, model.weights, class_indicator(Y), alpha=1.0)
 
 
 class TestRankOnline:
