@@ -15,14 +15,14 @@ import numpy as np
 
 from multigrank.dataset import generate_synthetic, relevance_matrix, split_queries
 from multigrank.evaluation import evaluate_queries
-from multigrank.graphs import SCHEMES, build_pool, default_spec_grid
+from multigrank.graphs import build_pool, default_spec_grid
 from multigrank.ranker import (
-    HyperParams,
     grank_online,
     rank_online,
     rank_pairwise_baseline,
     train_offline,
 )
+from multigrank.specs import K_VALUES, SCHEMES, HyperParams
 
 
 def run_once(seed, separation, args):
@@ -62,11 +62,11 @@ def main():
     ap.add_argument("--spread", type=float, default=1.0)
     ap.add_argument("--separations", type=float, nargs="+", default=[2.0, 4.0, 8.0])
     ap.add_argument("--queries-per-class", type=int, default=2)
-    ap.add_argument("--k", type=int, nargs="+", default=[5, 10])
+    ap.add_argument("--k", type=int, nargs="+", default=list(K_VALUES))
     ap.add_argument("--sigma-multipliers", type=float, nargs="+", default=[1.0])
-    ap.add_argument("--alpha", type=float, default=1.0)
-    ap.add_argument("--beta", type=float, default=1.0)
-    ap.add_argument("--iters", type=int, default=20)
+    ap.add_argument("--alpha", type=float, default=HyperParams.alpha)
+    ap.add_argument("--beta", type=float, default=HyperParams.beta)
+    ap.add_argument("--iters", type=int, default=HyperParams.max_iters)
     ap.add_argument("--seeds", type=int, default=3)
     args = ap.parse_args()
 

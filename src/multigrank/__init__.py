@@ -21,13 +21,13 @@ _ORIGIN = {
         "evaluation": (
             "Curve", "EvalReport", "auc", "auc_from_scores", "evaluate_queries", "roc_curve",
         ),
-        "specs": ("SCHEMES", "GraphSpec"),
+        "specs": ("SCHEMES", "GraphSpec", "HyperParams"),
         "graphs": (
             "BaseGraph", "GraphPool", "build_graph", "build_pool", "default_spec_grid",
             "edge_weight", "extend_graph", "knn_neighbors", "load_pool", "save_pool",
         ),
         "ranker": (
-            "GraphWeights", "HyperParams", "RankedList", "RankModel", "SingularSystemError",
+            "GraphWeights", "RankedList", "RankModel", "SingularSystemError",
             "grank_online", "grank_solve", "load_model", "minimize_weights",
             "offline_f_update", "offline_objective", "project_to_simplex", "rank_online",
             "rank_pairwise_baseline", "save_model", "smoothness_terms", "train_offline",

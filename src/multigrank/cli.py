@@ -27,7 +27,7 @@ from .dataset import (
     save_dataset,
     split_queries,
 )
-from .specs import SCHEMES
+from .specs import K_VALUES, SCHEMES, SIGMA_MULTIPLIERS, HyperParams
 
 
 @dataclass
@@ -40,13 +40,13 @@ class RunConfig:
     model: str | None = None
     out: str = "out"
     schemes: tuple[str, ...] = SCHEMES
-    k_values: tuple[int, ...] = (5, 10)
-    sigma_multipliers: tuple[float, ...] = (0.5, 1.0, 2.0)
-    alpha: float = 1.0
-    beta: float = 1.0
-    iters: int = 20
-    ridge: float = 1e-8
-    tol: float = 0.0
+    k_values: tuple[int, ...] = K_VALUES
+    sigma_multipliers: tuple[float, ...] = SIGMA_MULTIPLIERS
+    alpha: float = HyperParams.alpha
+    beta: float = HyperParams.beta
+    iters: int = HyperParams.max_iters
+    ridge: float = HyperParams.ridge
+    tol: float = HyperParams.tol
     level: int = 1
     query_mode: str = "disjoint"
     seed: int = 0
@@ -149,7 +149,7 @@ def cmd_train(cfg: RunConfig) -> None:
     ds = load_dataset(_require(cfg.dataset, "dataset"))
     pool = _load_checked_pool(cfg, ds)
     relevance = relevance_matrix(ds, cfg.level)
-    params = ranker.HyperParams(
+    params = HyperParams(
         alpha=cfg.alpha, beta=cfg.beta, max_iters=cfg.iters, ridge=cfg.ridge, tol=cfg.tol
     )
     model = ranker.train_offline(pool, relevance, params)
@@ -166,7 +166,7 @@ def _make_arm(baseline: str, graph_index: int, ds, pool, model):
     from . import ranker
 
     if baseline == "multig":
-        return lambda q: ranker.rank_online(model, pool, ds, q.features, model.params, q.id)
+        return lambda q: ranker.rank_online(model, pool, ds, q.features, query_id=q.id)
     if baseline == "grank":
         return lambda q: ranker.grank_online(
             pool, graph_index, ds, q.features, model.params, q.id

@@ -72,6 +72,8 @@ class Dataset:
                 raise ValueError(f"non-finite feature at row {row} (id {rec.id!r})")
             if not rec.label or any(not part for part in rec.label):
                 raise ValueError(f"empty label component at row {row} (id {rec.id!r})")
+            if "\t" in rec.id or "\n" in rec.id or "\r" in rec.id:
+                raise ValueError(f"id {rec.id!r} at row {row} contains a tab or line break")
             if rec.id in seen:
                 raise ValueError(f"duplicate id {rec.id!r} at row {row}")
             seen.add(rec.id)
@@ -118,12 +120,6 @@ class RelevanceMatrix:
     """
 
     gid: np.ndarray
-
-    @property
-    def entries(self) -> np.ndarray:
-        """The dense N x N binary matrix (symmetric, unit diagonal), built on
-        each access; O(N^2) memory."""
-        return (self.gid[:, None] == self.gid[None, :]).astype(np.float64)
 
 
 def _parse_features(values, row: int) -> np.ndarray:
@@ -196,17 +192,22 @@ def json_field(doc, key: str, hint, where: str):
     return doc[key]
 
 
-def load_dataset(path, format: str | None = None) -> Dataset:
-    """Load a dataset from CSV (``id,label,f1,...,fd``) or JSON.
-
-    The format is inferred from the file suffix when not given.  Row order is
-    preserved; all dataset invariants are validated.
-    """
-    path = Path(path)
-    fmt = format or path.suffix.lstrip(".").lower()
+def _format(path: Path) -> str:
+    """The dataset format named by the file suffix, ``csv`` or ``json``."""
+    fmt = path.suffix.lstrip(".").lower()
     if fmt not in _FORMATS:
         raise ValueError(f"unknown dataset format {fmt!r}; expected one of {_FORMATS}")
-    if fmt == "csv":
+    return fmt
+
+
+def load_dataset(path) -> Dataset:
+    """Load a dataset from CSV (``id,label,f1,...,fd``) or JSON, as the file
+    suffix says.
+
+    Row order is preserved; all dataset invariants are validated.
+    """
+    path = Path(path)
+    if _format(path) == "csv":
         records = _load_csv(path)
     else:
         records = _load_json(path)
@@ -255,13 +256,11 @@ def _load_json(path: Path) -> list[DomainRecord]:
     return records
 
 
-def save_dataset(ds: Dataset, path, format: str | None = None) -> None:
-    """Write a dataset back to CSV or JSON; inverse of load_dataset."""
+def save_dataset(ds: Dataset, path) -> None:
+    """Write a dataset back to CSV or JSON, as the file suffix says; inverse
+    of load_dataset."""
     path = Path(path)
-    fmt = format or path.suffix.lstrip(".").lower()
-    if fmt not in _FORMATS:
-        raise ValueError(f"unknown dataset format {fmt!r}; expected one of {_FORMATS}")
-    if fmt == "csv":
+    if _format(path) == "csv":
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["id", "label"] + [f"f{i}" for i in range(1, ds.dim + 1)])

@@ -184,7 +184,7 @@ def write_curve_csv(points, path, xlabel: str, ylabel: str) -> None:
 _SVG_COLORS = ("#1f6fb2", "#d1495b", "#3a7d44", "#8d6b94", "#c77d2e")
 
 
-def write_curves_svg(curves, path, title: str = "", xlabel: str = "", ylabel: str = "") -> None:
+def write_curves_svg(curves, path, title: str = "") -> None:
     """Minimal standalone SVG line plot: unit-square axes, the curves, a legend.
 
     ``curves`` is a sequence of (label, points) with points in [0, 1] x [0, 1].
@@ -217,16 +217,6 @@ def write_curves_svg(curves, path, title: str = "", xlabel: str = "", ylabel: st
     if title:
         lines.append(
             f'<text x="{left + px / 2:.0f}" y="20" font-size="13" text-anchor="middle">{title}</text>'
-        )
-    if xlabel:
-        lines.append(
-            f'<text x="{left + px / 2:.0f}" y="{height - 8}" font-size="11" '
-            f'text-anchor="middle">{xlabel}</text>'
-        )
-    if ylabel:
-        lines.append(
-            f'<text x="14" y="{top + py / 2:.0f}" font-size="11" text-anchor="middle" '
-            f'transform="rotate(-90 14 {top + py / 2:.0f})">{ylabel}</text>'
         )
     for idx, (label, points) in enumerate(curves):
         color = _SVG_COLORS[idx % len(_SVG_COLORS)]

@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .dataset import Dataset, dataset_fingerprint, json_field, json_fits, json_text
-from .specs import SCHEMES, GraphSpec
+from .specs import K_VALUES, SCHEMES, SIGMA_MULTIPLIERS, GraphSpec
 
 
 @dataclass(eq=False)
@@ -449,14 +449,15 @@ def median_pairwise_distance(X: np.ndarray) -> float:
 def default_spec_grid(
     ds: Dataset,
     schemes=SCHEMES,
-    k_values=(5, 10),
-    sigma_multipliers=(0.5, 1.0, 2.0),
+    k_values=K_VALUES,
+    sigma_multipliers=SIGMA_MULTIPLIERS,
 ) -> list[GraphSpec]:
     """Candidate grid: every scheme crossed with k; gaussian also crossed with
-    a sigma grid scaled by the dataset's median pairwise distance."""
-    scale = median_pairwise_distance(ds.feature_matrix)
-    if scale <= 0:
-        scale = 1.0
+    a sigma grid scaled by the dataset's median pairwise distance, which is
+    computed only when the grid has a gaussian spec."""
+    scale = 1.0
+    if "gaussian" in schemes and k_values and sigma_multipliers:
+        scale = median_pairwise_distance(ds.feature_matrix) or 1.0
     specs = []
     for scheme in schemes:
         for k in k_values:

@@ -20,8 +20,6 @@ training's block conjugate gradients on the assembled sparse system.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +27,7 @@ import scipy.sparse as sp
 
 from .dataset import Dataset, RelevanceMatrix, dataset_fingerprint, json_field
 from .graphs import GraphPool, extend_graph, query_neighbors, query_vector, select_per_measure
+from .specs import HyperParams
 
 # cap on the memory of the held inverse: the largest extended system (N + 1
 # rows) whose N x N database block is inverted, N^2 doubles (128 MB at
@@ -50,34 +49,6 @@ class SingularSystemError(RuntimeError):
     """A ranking or training system could not be solved to RESIDUAL_TOL: an
     online system singular at ridge = 0, or a training system too
     ill-conditioned for float64."""
-
-
-@dataclass(frozen=True)
-class HyperParams:
-    """Trade-off and solver knobs shared by offline training and online ranking."""
-
-    alpha: float = 1.0
-    beta: float = 1.0
-    max_iters: int = 20
-    ridge: float = 1e-8
-    tol: float = 0.0
-
-    def __post_init__(self):
-        for name in ("alpha", "beta", "ridge", "tol"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if not self.alpha > 0:
-            raise ValueError("alpha must be > 0")
-        if not self.beta > 0:
-            raise ValueError("beta must be > 0")
-        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral):
-            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.ridge < 0:
-            raise ValueError("ridge must be >= 0")
-        if self.tol < 0:
-            raise ValueError("tol must be >= 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -538,19 +509,20 @@ def _rank_extended(pool: GraphPool, mu: np.ndarray, ds: Dataset, x0, alpha: floa
     return make_ranked(query_id, f[1:], ds.ids)
 
 
-def rank_online(model: RankModel, pool: GraphPool, ds: Dataset, x0,
-                params: HyperParams | None = None, query_id: str = "query") -> RankedList:
+def rank_online(model: RankModel, pool: GraphPool, ds: Dataset, x0, *,
+                query_id: str = "query") -> RankedList:
     """Rank the database against a query under the trained multi-graph model.
 
     Combines the query's edges in every pooled graph of nonzero weight with
-    the learned weights and solves the one-known-entry system against the
-    frozen database block and its inverse held on the pool (``grank_solve``).
+    the learned weights and solves the one-known-entry system, at the
+    model's own alpha and ridge, against the frozen database block and its
+    inverse held on the pool (``grank_solve``).
     """
-    params = params if params is not None else model.params
     if model.pool_fingerprint != pool.fingerprint:
         raise ValueError("model was trained against a different pool (fingerprint mismatch)")
     if pool.fingerprint != dataset_fingerprint(ds):
         raise ValueError("pool was built from a different dataset (fingerprint mismatch)")
+    params = model.params
     return _rank_extended(pool, model.weights.mu, ds, x0, params.alpha, params.ridge, query_id)
 
 

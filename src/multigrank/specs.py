@@ -1,8 +1,10 @@
-"""Graph specs: the five weighting schemes and their parameters.
+"""Value types and defaults the CLI names without loading numpy or scipy.
 
-Kept apart from ``graphs`` so that the CLI parser names the schemes without
-loading the graph code that realizes them.  ``graphs`` re-exports both
-names.
+``GraphSpec`` is a weighting scheme plus its parameters, and ``SCHEMES``,
+``K_VALUES`` and ``SIGMA_MULTIPLIERS`` span the default graph grid.
+``HyperParams`` holds the trade-off and solver knobs of training and online
+ranking.  Each default is written here once: ``graphs`` re-exports the grid
+names, ``ranker`` re-exports ``HyperParams``, and the CLI's config reads both.
 """
 
 from __future__ import annotations
@@ -12,6 +14,9 @@ import numbers
 from dataclasses import dataclass
 
 SCHEMES = ("gaussian", "dot_product", "cosine", "jaccard", "tanimoto")
+K_VALUES = (5, 10)
+# gaussian sigmas, as multiples of the data's median pairwise distance
+SIGMA_MULTIPLIERS = (0.5, 1.0, 2.0)
 
 
 @dataclass(frozen=True)
@@ -36,3 +41,31 @@ class GraphSpec:
                 raise ValueError(f"gaussian scheme requires finite sigma > 0, got {sigma!r}")
         elif self.sigma is not None:
             raise ValueError(f"sigma does not apply to the {self.scheme!r} scheme")
+
+
+@dataclass(frozen=True)
+class HyperParams:
+    """Trade-off and solver knobs shared by offline training and online ranking."""
+
+    alpha: float = 1.0
+    beta: float = 1.0
+    max_iters: int = 20
+    ridge: float = 1e-8
+    tol: float = 0.0
+
+    def __post_init__(self):
+        for name in ("alpha", "beta", "ridge", "tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if not self.alpha > 0:
+            raise ValueError("alpha must be > 0")
+        if not self.beta > 0:
+            raise ValueError("beta must be > 0")
+        if isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral):
+            raise ValueError(f"max_iters must be an integer, got {self.max_iters!r}")
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
+        if self.ridge < 0:
+            raise ValueError("ridge must be >= 0")
+        if self.tol < 0:
+            raise ValueError("tol must be >= 0")

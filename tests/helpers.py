@@ -19,6 +19,12 @@ def dataset_from_arrays(points, labels=None) -> Dataset:
     return Dataset.from_records(records)
 
 
+def dense_relevance(rel) -> np.ndarray:
+    """The N x N binary matrix a RelevanceMatrix stands for: 1 where two
+    records share a group id (symmetric, unit diagonal)."""
+    return (rel.gid[:, None] == rel.gid[None, :]).astype(np.float64)
+
+
 def random_labels(rng, n, n_classes) -> list:
     """Random class labels guaranteeing at least two distinct classes."""
     labels = [f"g{rng.integers(n_classes)}" for _ in range(n)]

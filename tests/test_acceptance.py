@@ -8,7 +8,13 @@ import time
 
 import numpy as np
 
-from helpers import dataset_from_arrays, extended_laplacian_oracle, laplacian_oracle, random_labels
+from helpers import (
+    dataset_from_arrays,
+    dense_relevance,
+    extended_laplacian_oracle,
+    laplacian_oracle,
+    random_labels,
+)
 
 from multigrank import cli
 from multigrank.dataset import (
@@ -98,7 +104,7 @@ def test_criterion_2_solver_oracle_equivalence():
         oracle = np.linalg.inv(np.diag(u + ridge) + alpha * L) @ (u * y)
         assert np.linalg.norm(f - oracle) / np.linalg.norm(oracle) <= 1e-8
 
-        Y = relevance_matrix(ds, 1).entries
+        Y = dense_relevance(relevance_matrix(ds, 1))
         F = offline_f_update(pool, GraphWeights(mu), Y, alpha)
         oracle_f = np.linalg.inv(np.eye(n) + alpha * L) @ Y
         assert np.linalg.norm(F - oracle_f) / np.linalg.norm(oracle_f) <= 1e-8
@@ -286,8 +292,8 @@ def test_criterion_8_metric_identities_and_relevance_depth():
         DomainRecord(rec.id, (rec.label[0], f"{rec.label[0]}.{i % 3}"), rec.features)
         for i, rec in enumerate(base.records)
     )
-    shallow = relevance_matrix(nested, 1).entries.sum(axis=0)
-    deep = relevance_matrix(nested, 2).entries.sum(axis=0)
+    shallow = dense_relevance(relevance_matrix(nested, 1)).sum(axis=0)
+    deep = dense_relevance(relevance_matrix(nested, 2)).sum(axis=0)
     assert (shallow >= deep).all()
     assert (shallow > deep).any()
     _passed(8, "precision*k == tpr*p everywhere, exact ROC endpoints, "

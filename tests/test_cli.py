@@ -153,6 +153,19 @@ class TestRank:
         assert "'q/1'" in err and "'q_1'" in err and "rank_q_1.tsv" in err
         assert not out.exists()
 
+    def test_query_id_with_tab_is_rejected(self, tmp_path, workspace, capsys):
+        row = load_dataset(workspace["queries"]).records[0]
+        tail = f"{'/'.join(row.label)},{','.join(repr(float(v)) for v in row.features)}\n"
+        qpath = tmp_path / "q.csv"
+        qpath.write_text("id,label,f1,f2,f3,f4,f5,f6\n" + f"q\t1,{tail}" + f"q2,{tail}")
+        out = tmp_path / "ranks"
+        assert cli.main([
+            "rank", "--out", str(out), "--dataset", str(workspace["db"]),
+            "--queries", str(qpath), "--baseline", "pairwise",
+        ]) == 1
+        assert "id 'q\\t1' at row 1 contains a tab" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_grank_arm_delegates_to_single_graph(self, tmp_path, workspace):
         out = tmp_path / "ranks"
         assert cli.main([

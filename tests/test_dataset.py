@@ -1,9 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from helpers import dataset_from_arrays
+from helpers import dataset_from_arrays, dense_relevance
 
 from multigrank.dataset import (
     Dataset,
@@ -53,6 +54,14 @@ class TestLoad:
     def test_duplicate_id(self, tmp_path):
         text = "id,label,f1\na,x,1\na,y,2\n"
         with pytest.raises(ValueError, match="duplicate id"):
+            load_dataset(_write(tmp_path, "db.csv", text))
+
+    @pytest.mark.parametrize("bad_id", ["a\tb0", "a\nb0", "a\rb0"])
+    def test_id_with_tab_or_line_break(self, tmp_path, bad_id):
+        # quoted, the CSV round trip keeps such an id, and a rank TSV row
+        # written with it would split into more than three fields
+        text = f'id,label,f1\nok,x,1\n"{bad_id}",x,2\n'
+        with pytest.raises(ValueError, match=re.escape(f"id {bad_id!r} at row 2")):
             load_dataset(_write(tmp_path, "db.csv", text))
 
     def test_unparseable_number(self, tmp_path):
@@ -138,19 +147,19 @@ class TestRelevance:
     def test_flat_labels(self):
         ds = dataset_from_arrays(np.eye(3), ["a", "a", "b"])
         rel = relevance_matrix(ds, 1)
-        assert np.array_equal(rel.entries, [[1, 1, 0], [1, 1, 0], [0, 0, 1]])
+        assert np.array_equal(dense_relevance(rel), [[1, 1, 0], [1, 1, 0], [0, 0, 1]])
 
     def test_single_record(self):
         rec = DomainRecord("solo", ("a",), np.array([1.0]))
         rel = relevance_matrix(Dataset(records=(rec,), dim=1), 1)
-        assert np.array_equal(rel.entries, [[1.0]])
+        assert np.array_equal(dense_relevance(rel), [[1.0]])
 
     def test_prefix_depth(self):
         ds = dataset_from_arrays(np.eye(3), ["x/p", "x/q", "x/p"])
         assert np.array_equal(
-            relevance_matrix(ds, 2).entries, [[1, 0, 1], [0, 1, 0], [1, 0, 1]]
+            dense_relevance(relevance_matrix(ds, 2)), [[1, 0, 1], [0, 1, 0], [1, 0, 1]]
         )
-        assert np.array_equal(relevance_matrix(ds, 1).entries, np.ones((3, 3)))
+        assert np.array_equal(dense_relevance(relevance_matrix(ds, 1)), np.ones((3, 3)))
 
     def test_level_beyond_depth(self):
         ds = dataset_from_arrays(np.eye(2), ["x/p", "y"])
@@ -166,9 +175,9 @@ class TestRelevance:
                 for _ in range(n)
             ]
             ds = dataset_from_arrays(rng.normal(size=(n, 2)), labels)
-            rel = relevance_matrix(ds, 1)
-            assert np.array_equal(rel.entries, rel.entries.T)
-            assert np.array_equal(np.diag(rel.entries), np.ones(n))
+            dense = dense_relevance(relevance_matrix(ds, 1))
+            assert np.array_equal(dense, dense.T)
+            assert np.array_equal(np.diag(dense), np.ones(n))
 
 
     def test_stored_as_group_ids(self):

@@ -237,11 +237,11 @@ def test_curve_csv_round_trip(tmp_path):
 def test_curves_svg_emitter(tmp_path):
     path = tmp_path / "curves.svg"
     pts = [(i / 10, (i / 10) ** 2) for i in range(11)]
-    write_curves_svg([("one", pts), ("two", pts[::-1])], path, title="t", xlabel="x", ylabel="y")
+    write_curves_svg([("one", pts), ("two", pts[::-1])], path, title="t")
     text = path.read_text()
     assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
     assert text.count("<polyline") == 2 and "one" in text and "two" in text
-    write_curves_svg([("one", pts), ("two", pts[::-1])], tmp_path / "again.svg", title="t", xlabel="x", ylabel="y")
+    write_curves_svg([("one", pts), ("two", pts[::-1])], tmp_path / "again.svg", title="t")
     assert (tmp_path / "again.svg").read_bytes() == path.read_bytes()
 
 

@@ -373,6 +373,19 @@ class TestPool:
         # three sigmas apply to gaussian only: 4*2 + 1*2*3
         assert len(default_spec_grid(ds, SCHEMES, (2, 3), (0.5, 1.0, 2.0))) == 14
 
+    def test_grid_without_gaussian_skips_the_scale(self, monkeypatch):
+        import multigrank.graphs as graphs
+
+        def refuse(X):
+            raise AssertionError("kernel scale computed for a grid with no gaussian spec")
+
+        monkeypatch.setattr(graphs, "median_pairwise_distance", refuse)
+        ds = generate_synthetic(2, 5, 3, 1.0, 4.0, 0)
+        assert default_spec_grid(ds, ("cosine", "jaccard"), (2, 3)) == [
+            GraphSpec("cosine", 2), GraphSpec("cosine", 3),
+            GraphSpec("jaccard", 2), GraphSpec("jaccard", 3),
+        ]
+
     def test_fingerprint_binds_dataset(self):
         a = generate_synthetic(2, 4, 3, 1.0, 4.0, 0)
         b = generate_synthetic(2, 4, 3, 1.0, 4.0, 1)

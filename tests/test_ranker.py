@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import tempfile
@@ -8,12 +9,17 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import dataset_from_arrays, extended_laplacian_oracle, laplacian_oracle, random_labels
+from helpers import (
+    dataset_from_arrays,
+    dense_relevance,
+    extended_laplacian_oracle,
+    laplacian_oracle,
+    random_labels,
+)
 
 from multigrank.dataset import (
     Dataset,
     DomainRecord,
-    RelevanceMatrix,
     generate_synthetic,
     relevance_matrix,
 )
@@ -107,14 +113,14 @@ class TestGrankSolve:
 class TestFUpdate:
     def test_alpha_zero_returns_relevance(self):
         ds, pool = small_pool()
-        Y = relevance_matrix(ds, 1).entries
+        Y = dense_relevance(relevance_matrix(ds, 1))
         mu = GraphWeights(np.array([0.5, 0.5]))
         F = offline_f_update(pool, mu, Y, alpha=0.0)
         assert np.array_equal(F, Y)
 
     def test_single_graph_equals_columnwise_grank(self):
         ds, pool = small_pool(m_specs=[GraphSpec("gaussian", 3, 1.0)])
-        Y = relevance_matrix(ds, 1).entries
+        Y = dense_relevance(relevance_matrix(ds, 1))
         F = offline_f_update(pool, GraphWeights(np.array([1.0])), Y, alpha=0.9)
         L = laplacian_oracle(pool.graphs[0].weights)
         u = np.ones(ds.n)
@@ -130,8 +136,8 @@ class TestFUpdate:
             [GraphSpec("gaussian", 2, 0.8), GraphSpec("cosine", 3), GraphSpec("tanimoto", 2)],
         )
         mu = GraphWeights(np.array([0.2, 0.5, 0.3]))
-        Y = relevance_matrix(dataset_from_arrays(rng.normal(size=(8, 2)), ["a"] * 4 + ["b"] * 4),
-                             1).entries
+        Y = dense_relevance(relevance_matrix(
+            dataset_from_arrays(rng.normal(size=(8, 2)), ["a"] * 4 + ["b"] * 4), 1))
         alpha = 1.3
         F = offline_f_update(pool, mu, Y, alpha)
         A = np.eye(8) + alpha * sum(
@@ -142,7 +148,7 @@ class TestFUpdate:
 
     def test_cg_path_agrees_with_dense(self):
         ds, pool = small_pool(per_class=8)
-        Y = relevance_matrix(ds, 1).entries
+        Y = dense_relevance(relevance_matrix(ds, 1))
         mu = GraphWeights(np.array([0.4, 0.6]))
         A = np.eye(ds.n) + sum(w * laplacian_oracle(g.weights).toarray()
                                for w, g in zip(mu.mu, pool.graphs))
@@ -156,7 +162,7 @@ class TestFUpdate:
         import multigrank.ranker as ranker
 
         ds, pool = small_pool(per_class=8)
-        Z = relevance_matrix(ds, 1).entries[:, [0, -1]]
+        Z = dense_relevance(relevance_matrix(ds, 1))[:, [0, -1]]
         mu = GraphWeights(np.array([0.4, 0.6]))
         steps = []
         solve = ranker._block_cg
@@ -177,7 +183,7 @@ class TestFUpdate:
         ds, pool = small_pool()
         with pytest.raises(SingularSystemError):
             offline_f_update(pool, GraphWeights(np.array([0.5, 0.5])),
-                             relevance_matrix(ds, 1).entries, alpha)
+                             dense_relevance(relevance_matrix(ds, 1)), alpha)
 
     def test_zero_column_is_solved_by_zero(self):
         ds, pool = small_pool()
@@ -190,7 +196,7 @@ class TestFUpdate:
     def test_vector_relevance_keeps_its_shape(self):
         ds, pool = small_pool()
         mu = GraphWeights(np.array([0.5, 0.5]))
-        Y = relevance_matrix(ds, 1).entries
+        Y = dense_relevance(relevance_matrix(ds, 1))
         F = offline_f_update(pool, mu, Y[:, 0], 1.0)
         assert F.shape == (ds.n,)
         assert np.array_equal(F, offline_f_update(pool, mu, Y[:, :1], 1.0)[:, 0])
@@ -308,17 +314,18 @@ class TestTrainOffline:
         Y = relevance_matrix(ds, 1)
         params = HyperParams(max_iters=3)
         model = train_offline(pool, Y, params)
-        F = offline_f_update(pool, model.weights, Y.entries, params.alpha)
+        Y = dense_relevance(Y)
+        F = offline_f_update(pool, model.weights, Y, params.alpha)
         # trace entries are objective values; recomputing at the final weights
         # reproduces the last entry once F is re-solved for those weights
-        obj = offline_objective(pool, F, Y.entries, model.weights, params.alpha, params.beta)
+        obj = offline_objective(pool, F, Y, model.weights, params.alpha, params.beta)
         assert obj <= model.objective_trace[-1] + 1e-9
 
     @pytest.mark.parametrize("cols", [np.s_[:, 0], np.s_[:, :1]], ids=["vector", "column"])
     def test_objective_of_mismatched_shapes_raises(self, cols):
         ds, pool = small_pool()
         mu = GraphWeights(np.array([0.5, 0.5]))
-        Y = relevance_matrix(ds, 1).entries
+        Y = dense_relevance(relevance_matrix(ds, 1))
         F = offline_f_update(pool, mu, Y, 1.0)
         with pytest.raises(ValueError, match=r"scores have shape \(10, 10\).*shape \(10,"):
             offline_objective(pool, F, Y[cols], mu, 1.0, 1.0)
@@ -338,7 +345,7 @@ class TestTrainOffline:
         bound = 1.0 + 2.0 * 100.0 * laplacian_oracle(pool.graphs[0].weights).diagonal().max()
         assert f"1 + 2 alpha d_max = {bound:.3g}" in message
 
-    @pytest.mark.parametrize("make", [lambda rel: rel.entries, lambda rel: rel.gid],
+    @pytest.mark.parametrize("make", [dense_relevance, lambda rel: rel.gid],
                              ids=["entries", "gid"])
     def test_relevance_must_be_a_relevance_matrix(self, make):
         ds, pool = small_pool()
@@ -401,29 +408,18 @@ class TestCollapsedTraining:
         params = HyperParams(alpha=alpha, beta=beta, max_iters=4)
 
         model = train_offline(pool, Y, params)
-        mu, trace = reference_train(pool, Y.entries, params)
+        mu, trace = reference_train(pool, dense_relevance(Y), params)
         assert len(model.objective_trace) == len(trace)
         assert np.allclose(model.objective_trace, trace, rtol=1e-12, atol=0.0)
         assert np.abs(model.weights.mu - mu.mu).max() <= 1e-12
 
-        F = offline_f_update(pool, model.weights, Y.entries, alpha)
+        F = offline_f_update(pool, model.weights, dense_relevance(Y), alpha)
         A = np.eye(n) + alpha * sum(
             w * laplacian_oracle(g.weights).toarray() for w, g in zip(model.weights.mu, pool.graphs)
         )
-        oracle = np.linalg.inv(A) @ Y.entries
+        oracle = np.linalg.inv(A) @ dense_relevance(Y)
         assert F.shape == (n, n)
         assert np.linalg.norm(F - oracle) / np.linalg.norm(oracle) <= 1e-8
-
-    def test_training_never_builds_dense_relevance(self, monkeypatch):
-        ds, pool = small_pool(n_classes=3)
-        Y = relevance_matrix(ds, 1)
-
-        def refuse(self):
-            raise AssertionError("dense N x N relevance matrix requested")
-
-        monkeypatch.setattr(RelevanceMatrix, "entries", property(refuse))
-        model = train_offline(pool, Y, HyperParams(max_iters=3))
-        offline_f_update(pool, model.weights, class_indicator(Y), alpha=1.0)
 
     def test_training_never_densifies(self, monkeypatch):
         import multigrank.ranker as ranker
@@ -481,8 +477,8 @@ class TestRankOnline:
         # alpha/ridge, so they vanish as alpha -> 0 at fixed ridge
         ds, pool = small_pool()
         model = train_offline(pool, relevance_matrix(ds, 1), HyperParams(max_iters=2))
-        params = HyperParams(alpha=1e-12, ridge=1e-5)
-        ranked = rank_online(model, pool, ds, ds.records[0].features, params)
+        model = dataclasses.replace(model, params=HyperParams(alpha=1e-12, ridge=1e-5))
+        ranked = rank_online(model, pool, ds, ds.records[0].features)
         assert np.abs(ranked.scores).max() <= 1e-6
 
     def test_matches_dense_inverse_of_extended_system(self):
@@ -518,6 +514,12 @@ class TestRankOnline:
         f_b = rank_online(model_b, pool_b, ds_b, 0.5 * x0).scores
         assert np.abs(f_a - f_b).max() <= 1e-9
 
+    def test_query_id_is_keyword_only(self):
+        ds, pool = small_pool()
+        model = train_offline(pool, relevance_matrix(ds, 1), HyperParams(max_iters=2))
+        with pytest.raises(TypeError):
+            rank_online(model, pool, ds, ds.records[0].features, "q")
+
     def test_fingerprint_mismatch_rejected(self):
         ds, pool = small_pool()
         other, other_pool = small_pool(seed=99)
@@ -540,7 +542,7 @@ class TestRankOnline:
         ranked = grank_online(pool, 1, ds, ds.records[0].features, params)
         solo_pool = GraphPool((pool.graphs[1],), pool.fingerprint, pool.dim)
         model = RankModel(GraphWeights(np.array([1.0])), params, pool.fingerprint, [])
-        expected = rank_online(model, solo_pool, ds, ds.records[0].features, params)
+        expected = rank_online(model, solo_pool, ds, ds.records[0].features)
         assert np.array_equal(ranked.scores, expected.scores)
         with pytest.raises(ValueError, match="index"):
             grank_online(pool, 5, ds, ds.records[0].features, params)
@@ -658,12 +660,14 @@ class TestFrozenFactor:
         params = HyperParams()
         model_a = RankModel(GraphWeights(np.array([0.5, 0.5, 0.0])), params, fp, [])
         model_b = RankModel(GraphWeights(np.array([0.2, 0.8, 0.0])), params, fp, [])
+        model_alpha = dataclasses.replace(model_a, params=HyperParams(alpha=0.3))
+        model_ridge = dataclasses.replace(model_a, params=HyperParams(ridge=1e-3))
         # each arm differs from another in one of: weights, alpha, ridge, active graphs
         arms = [
             lambda p, x: rank_online(model_a, p, ds, x),
             lambda p, x: rank_online(model_b, p, ds, x),
-            lambda p, x: rank_online(model_a, p, ds, x, HyperParams(alpha=0.3)),
-            lambda p, x: rank_online(model_a, p, ds, x, HyperParams(ridge=1e-3)),
+            lambda p, x: rank_online(model_alpha, p, ds, x),
+            lambda p, x: rank_online(model_ridge, p, ds, x),
             lambda p, x: grank_online(p, 2, ds, x, params),
             lambda p, x: grank_online(p, 0, ds, x, params),
         ]
