@@ -50,6 +50,11 @@ class DomainRecord:
         return self.label[:level]
 
 
+def _require_two(records) -> None:
+    if len(records) < 2:
+        raise ValueError("a dataset needs at least 2 records")
+
+
 @dataclass(eq=False)
 class Dataset:
     """Ordered collection of records sharing one feature dimension."""
@@ -61,8 +66,7 @@ class Dataset:
     def from_records(cls, records) -> "Dataset":
         """Build a validated dataset; raises ValueError on any invariant breach."""
         records = tuple(records)
-        if len(records) < 2:
-            raise ValueError("a dataset needs at least 2 records")
+        _require_two(records)
         dim = records[0].features.shape[0]
         seen: set[str] = set()
         for row, rec in enumerate(records, start=1):
@@ -78,6 +82,14 @@ class Dataset:
                 raise ValueError(f"duplicate id {rec.id!r} at row {row}")
             seen.add(rec.id)
         return cls(records=records, dim=dim)
+
+    def _subset(self, indices) -> "Dataset":
+        """The records at ``indices``, in that order.  They were checked
+        together when this dataset was built, so any subset of them passes
+        every check of ``from_records`` but its size."""
+        records = tuple(self.records[i] for i in indices)
+        _require_two(records)
+        return Dataset(records=records, dim=self.dim)
 
     @property
     def n(self) -> int:
@@ -378,11 +390,9 @@ def split_queries(ds: Dataset, per_label: int, mode: str, seed: int = 0):
             picked = rng.choice(len(members), size=per_label, replace=False)
             query_idx.extend(members[i] for i in sorted(picked))
     query_set = set(query_idx)
-    queries = Dataset.from_records(ds.records[i] for i in sorted(query_set))
+    queries = ds._subset(sorted(query_set))
     if mode == "disjoint":
-        database = Dataset.from_records(
-            rec for i, rec in enumerate(ds.records) if i not in query_set
-        )
+        database = ds._subset(i for i in range(ds.n) if i not in query_set)
     else:
         database = ds
     return database, queries

@@ -120,7 +120,8 @@ def _sq_dist(a, b) -> np.ndarray:
 
 def _ratio(num, den) -> np.ndarray:
     # 0 where the denominator vanishes, which needs both vectors at 0
-    return np.divide(num, den, out=np.zeros(np.shape(num)), where=den != 0)
+    out = np.zeros(np.shape(num), dtype=np.result_type(num, den))
+    return np.divide(num, den, out=out, where=den != 0)
 
 
 def _require_nonnegative(*xs) -> None:
@@ -206,58 +207,73 @@ def _first_k(keys: np.ndarray, k: int) -> np.ndarray:
     return _ordered_first_k(rows, cols, keys[rows, cols], keys.shape[0], k)
 
 
-def _filter_margin(sq_norms: np.ndarray, d: int, by_norm: bool) -> np.ndarray:
+def _filter_margin(sizes: np.ndarray, d: int, by_norm: bool, single: bool = False) -> np.ndarray:
     """Per row i, a bound on |filter key - selection key| over the row's pairs.
 
-    The selection key of a pair is its negated ``_closeness`` as rounded in
-    floating point; for squared distance it is taken here less a constant of
-    the row, which orders and ties each row alike.  With u = 2^-53, a sum of
-    d terms rounded in any order (einsum, np.sum, BLAS, with or without FMA)
-    is within (d-1)u of the sum of their magnitudes, to first order in u.
-    For rows a, b with squared norms A, B, and sum|a_l b_l| <= (A + B)/2,
-    that gives for |filter key - selection key|:
+    ``sizes`` holds the rows' squared norms, or under jaccard (``single``)
+    the features themselves.  The selection key of a pair is its negated
+    ``_closeness`` as rounded in floating point; for squared distance it is
+    taken here less a constant of the row, which orders and ties each row
+    alike.  With u = 2^-53, a sum of d terms rounded in any order (einsum,
+    np.sum, BLAS, with or without FMA) is within (d-1)u of the sum of their
+    magnitudes, to first order in u.  For rows a, b with squared norms A, B,
+    and sum|a_l b_l| <= (A + B)/2, that gives for |filter key - selection key|:
 
     - squared distance, with A and B taken about the column mean m, which
       leaves distances unchanged: the rows less m are rounded by at most
       u|a - m|, which moves D = |a - b|^2 <= 2(A + B) by at most 4u(A + B);
       sum (a_l - b_l)^2 is within (d+2)u D of D, and the Gram key B - 2a.b of
       the centred rows within (2d+2)u(A + B) of D - A: (4d+10)u(A + B) in
-      all;
+      all.  ``median_pairwise_distance`` adds A back to the key, to find D
+      itself: A's rounding and the sum's add (d+3)u(A + B), for
+      (5d+13)u(A + B);
     - cosine: a.b/(|a||b|) and the product of the unit rows are each within
       (2d+4)u of the exact cosine: (4d+8)u;
     - tanimoto: the denominator A + B - a.b >= (A + B)/2 is found within
       (3d+3)u relatively and the numerator within du(A + B)/2, so each of the
       two quotients, at most 1 in size, is within (4d+4)u: (8d+8)u;
-    - jaccard: sum(min)/sum(max) <= 1 is within 2du of the exact value; the
-      filter finds sum(max) = M within du and Sa + Sb <= 2M within du
-      relatively, so its (M - Sa - Sb)/M is within (4d+1)u: (6d+1)u.
+    - jaccard: sum(min)/sum(max) <= 1 is within 2du of the exact value.  The
+      filter works in float32, with v = 2^-24: the features rounded to it
+      are each within v relatively, so their maxima are too, and the float32
+      sum of the d maxima finds sum(max) = M within dvM.  The row sums,
+      taken in float64 and rounded once, give Sa + Sb <= 2M within 2v
+      relatively, so M - Sa - Sb, rounded, is within (d+5)vM, and the
+      rounded quotient (M - Sa - Sb)/M within (2d+6)v: (2d+6)v + 2du.
 
     The margin 16(d+2)u, times A_i + max A when ``by_norm`` (squared
-    distance), is at least twice each bound; the factor 2 covers the
-    second-order terms and the roundings of the margin and of the cut
-    kth + 2 margin (rounding to nearest is monotone, so the computed cut
-    admits every float the exact one does).  Underflow adds at most
-    ~4d 2^-1075 to any of these sums, which the factor also covers once every
-    nonzero squared norm is >= 2^-900; under squared distance, identical
-    rows centre to exact zeros, and their margin of 0 is exact.  A
-    squared norm above 2^900, nonzero below 2^-900, or NaN voids the bounds:
-    the margin is then infinite, and every column is rescored.
+    distance), and 16(d+2)v under jaccard, is at least twice each bound;
+    the factor 2 covers the second-order terms and the roundings of the
+    margin and of the cut kth + 2 margin (rounding to nearest is monotone,
+    so the computed cut admits every float the exact one does).  Underflow
+    adds at most ~4d 2^-1075 to any of these sums, which the factor also
+    covers once every nonzero squared norm is >= 2^-900; under squared
+    distance, identical rows centre to exact zeros, and their margin of 0 is
+    exact.  A squared norm above 2^900, nonzero below 2^-900, or NaN voids
+    the bounds: the margin is then infinite, and every column is rescored.
+    The float32 bounds hold while every nonzero feature lies in
+    [2^-100, 2^100] and d < 2^26: each feature is then a normal float32,
+    no sum reaches 2^127, and a quotient that underflows is off by at most
+    2^-150, which the factor covers.  Outside that range the jaccard margin
+    is infinite.
     """
-    nonzero = sq_norms[sq_norms != 0]
-    if nonzero.size and not (2.0**-900 <= nonzero.min() and nonzero.max() <= 2.0**900):
-        return np.full(sq_norms.shape, np.inf)
-    bound = 16 * (d + 2) * np.finfo(np.float64).eps / 2
+    eps, limit = (np.finfo(np.float32 if single else np.float64).eps,
+                  2.0**100 if single else 2.0**900)
+    nonzero = sizes[sizes != 0]
+    out_of_range = nonzero.size and not (1 / limit <= nonzero.min() and nonzero.max() <= limit)
+    if out_of_range or (single and d >= 2**26):
+        return np.full(len(sizes), np.inf)
+    bound = 16 * (d + 2) * eps / 2
     if by_norm:
-        return bound * (sq_norms + sq_norms.max())
-    return np.full(sq_norms.shape, bound)
+        return bound * (sizes + sizes.max())
+    return np.full(len(sizes), bound)
 
 
 def _filter(X: np.ndarray, sq_norms: np.ndarray, measure: str):
     """The cheap filter of ``knn_neighbors``: a function of a row block giving
     its (rows, N) filter keys, and per row the margin within which they
     approximate the selection keys (``_filter_margin``).  The keys come from a
-    Gram block, or for jaccard from a block of sum(max) built feature by
-    feature."""
+    Gram block, or for jaccard from a float32 block of sum(max) built feature
+    by feature."""
     d = X.shape[1]
     if measure == "sq_distance":
         # distances do not change under a shift, and the Gram key's rounding
@@ -275,22 +291,28 @@ def _filter(X: np.ndarray, sq_norms: np.ndarray, measure: str):
             return gram
 
         return keys, _filter_margin(centred_norms, d, by_norm=True)
-    margin = _filter_margin(sq_norms, d, by_norm=False)
     if measure == "jaccard":
-        features = np.ascontiguousarray(X.T)
-        sums = X.sum(axis=1)
+        margin = _filter_margin(X, d, by_norm=False, single=True)
+        if np.isinf(margin).any():
+            # beyond float32's safe range every column is rescored
+            return (lambda rows: np.zeros((len(rows), X.shape[0]))), margin
+        # float32 halves the bytes of each per-feature pass
+        single = X.astype(np.float32)
+        features = np.ascontiguousarray(single.T)
+        sums = X.sum(axis=1).astype(np.float32)
 
         def keys(rows):
             # sum(min) = (Sa + Sb - l1)/2 and sum(max) = (Sa + Sb + l1)/2 with
             # l1 = |a - b|_1, so sum(min) = Sa + Sb - sum(max), and the key
             # -sum(min)/sum(max) increases with l1/(Sa + Sb)
-            most = np.zeros((len(rows), X.shape[0]))
+            most = np.zeros((len(rows), X.shape[0]), dtype=np.float32)
             buf = np.empty_like(most)
-            for block_col, col in zip(X[rows].T, features):
+            for block_col, col in zip(single[rows].T, features):
                 most += np.maximum(block_col[:, None], col, out=buf)
             return _ratio(most - (sums[rows, None] + sums), most)
 
         return keys, margin
+    margin = _filter_margin(sq_norms, d, by_norm=False)
     # Gram blocks against the negated rows hold -a.b: no pass to negate them
     if measure == "cosine":
         unit = X / np.sqrt(sq_norms)[:, None]
@@ -435,15 +457,166 @@ def extend_graph(graph: BaseGraph, ds: Dataset, x0, neighbors=None):
     return nbrs, np.maximum(edge_weight(x0, ds.feature_matrix[nbrs], graph.spec), 0.0)
 
 
+# buckets of each median selection pass, and the most exact values a pass keeps
+_MEDIAN_BINS = 1 << 14
+_KEEP_VALUES = 1 << 17
+
+
+class _Buckets:
+    """Histogram buckets over the nonnegative floats of a window [lo, hi].
+
+    A value's bucket is its bit pattern less the pattern of ``start``,
+    shifted right and clipped to the buckets.  The bit patterns of
+    nonnegative floats, +inf included, order as the floats do, so the map is
+    exact and monotone, and each bucket spans an exact range of floats.  The
+    at most ``_MEDIAN_BINS`` buckets are as fine as that allows over
+    [start, stop]; values outside it fall in the end buckets.
+    """
+
+    def __init__(self, lo, hi, start, stop):
+        self.lo, self.hi = lo, hi
+        self.base = int(np.float64(start).view(np.int64))
+        span = int(np.float64(stop).view(np.int64)) - self.base
+        self.shift = max(0, span.bit_length() - (_MEDIAN_BINS.bit_length() - 1))
+        self.size = (span >> self.shift) + 1
+
+    def of(self, values: np.ndarray) -> np.ndarray:
+        index = (values.view(np.int64) - self.base) >> self.shift
+        return np.clip(index, 0, self.size - 1, out=index)
+
+    def span(self, first: int, last: int) -> tuple[float, float]:
+        """The window that buckets ``first`` to ``last`` cover."""
+
+        def edge(pattern):
+            return float(np.int64(pattern).view(np.float64))
+
+        lo = self.lo if first == 0 else edge(self.base + (first << self.shift))
+        hi = self.hi if last == self.size - 1 else edge(self.base + ((last + 1) << self.shift) - 1)
+        return lo, hi
+
+
+def _count_pass(blocks, buckets: _Buckets, keep: bool):
+    """One pass of the median selection over a stream of value blocks.
+
+    ``blocks`` yields (count, values): a count of stream values known to lie
+    below the window, and further values, NaN standing for none.  Returns
+    the count of values below the window, the bucket histogram of those in
+    it, their (min, max), and when ``keep`` the values themselves if they
+    are at most ``_KEEP_VALUES``, else None.
+    """
+    lo, hi = buckets.lo, buckets.hi
+    below = 0
+    hist = np.zeros(buckets.size, dtype=np.int64)
+    least, most = np.inf, -np.inf
+    kept = [] if keep else None
+    total = 0
+    for count, values in blocks:
+        below += count + np.count_nonzero(values < lo)
+        inside = values[(values >= lo) & (values <= hi)]
+        if not inside.size:
+            continue
+        hist += np.bincount(buckets.of(inside), minlength=buckets.size)
+        least, most = min(least, inside.min()), max(most, inside.max())
+        total += inside.size
+        if kept is not None:
+            kept = kept + [inside] if total <= _KEEP_VALUES else None
+    return below, hist, (least, most), kept
+
+
 def median_pairwise_distance(X: np.ndarray) -> float:
-    """Median Euclidean distance over all point pairs (data-driven kernel scale)."""
-    n = X.shape[0]
-    d2 = np.empty(n * (n - 1) // 2)
-    pos = 0
-    for i in range(n - 1):
-        d2[pos : pos + n - 1 - i] = _sq_dist(X[i + 1 :], X[i])
-        pos += n - 1 - i
-    return float(np.median(np.sqrt(d2, out=d2), overwrite_input=True))
+    """Median Euclidean distance over all point pairs (data-driven kernel scale).
+
+    Bit-identical to ``np.median`` of every pair's ``sqrt(_sq_dist)``, without
+    a buffer of the N(N-1)/2 pairs: the middle order statistics are selected
+    by filter and refine, as ``knn_neighbors`` selects neighbours.  Row
+    blocks of the centred Gram matrix give each pair's squared distance
+    within a margin m of its exact value (``_filter_margin``).  Passes over
+    the blocks count these filter values into buckets until a window holds
+    the middle ones.  The pairs within 2m of that window are then rescored
+    with ``_sq_dist`` and the pairs below it counted, which places the
+    middle values among the rescored ones.  Where the margin is infinite,
+    or zero (identical rows), the passes count exact values.  Memory is
+    O(block + buckets).
+    """
+    X = np.asarray(X, dtype=np.float64)
+    n, d = X.shape
+    if n < 2:
+        raise ValueError("the median pairwise distance needs at least 2 points")
+    pairs = n * (n - 1) // 2
+    centred = X - X.mean(axis=0)
+    norms = _dot(centred, centred)
+    margin = _filter_margin(norms, d, by_norm=True).max()
+    scaled = -2.0 * centred
+    chunk = max(1, _PAIR_ELEMS // max(d, 1))
+    step = max(1, (chunk if margin == np.inf else _KEY_ELEMS) // n)
+
+    def filter_values():
+        # each row block against the columns from its first row on, NaN
+        # where j <= i
+        for start in range(0, n, step):
+            stop = min(start + step, n)
+            if margin == np.inf:
+                values = _sq_dist(X[start:stop, None], X[None, start:])
+            else:
+                values = centred[start:stop] @ scaled[start:].T
+                values += norms[start:]
+                values += norms[start:stop, None]
+                # exact values are >= 0, so the clamp keeps the margin
+                np.maximum(values, 0.0, out=values)
+            values[np.tril_indices(stop - start)] = np.nan
+            yield start, values
+
+    def rescored(cut_lo, cut_hi):
+        for start, values in filter_values():
+            rows, cols = np.divmod(
+                np.flatnonzero((values >= cut_lo) & (values <= cut_hi)), values.shape[1]
+            )
+            rows += start
+            cols += start
+            scored = np.empty(len(rows))
+            for lo in range(0, len(rows), chunk):
+                part = slice(lo, lo + chunk)
+                scored[part] = _sq_dist(X[rows[part]], X[cols[part]])
+            yield np.count_nonzero(values < cut_lo), scored
+
+    def select(ranks, buckets, stream, exact):
+        """The stream's values of the given ranks, one or two adjacent ones,
+        which lie in the buckets' window."""
+        while True:
+            below, hist, (least, most), kept = _count_pass(stream(), buckets, keep=exact)
+            if kept is not None:
+                return np.sort(np.concatenate(kept))[ranks - below]
+            first, last = np.searchsorted(np.cumsum(hist), ranks - below, side="right")[[0, -1]]
+            if len(ranks) == 2 and first == 0 and last == buckets.size - 1:
+                # the end buckets hold the two ranks, and a window for both
+                # would not narrow: select each alone
+                return np.concatenate(
+                    [select(ranks[:1], buckets, stream, exact),
+                     select(ranks[1:], buckets, stream, exact)]
+                )
+            lo, hi = buckets.span(first, last)
+            lo, hi = max(lo, least), min(hi, most)
+            if exact and lo == hi:
+                return np.full(len(ranks), lo)
+            if not exact and (hi - lo <= 4.0 * margin
+                              or hist[first : last + 1].sum() <= _KEEP_VALUES // 2):
+                # every pair whose exact value can hold one of the ranks has
+                # a filter value within 2m of the window
+                cut_lo, cut_hi = lo - 2.0 * margin, hi + 2.0 * margin
+                return select(ranks, _Buckets(0.0, np.inf, max(cut_lo, 0.0), cut_hi),
+                              lambda: rescored(cut_lo, cut_hi), exact=True)
+            buckets = _Buckets(lo, hi, lo, hi)
+
+    def unmarked():
+        return ((0, values) for _, values in filter_values())
+
+    exact = not 0.0 < margin < np.inf
+    top = 4.0 * norms.max()
+    buckets = (_Buckets(0.0, np.inf, 0.0, np.inf) if exact
+               else _Buckets(0.0, np.inf, top * 2.0**-8, top))
+    middle = select(np.unique([(pairs - 1) // 2, pairs // 2]), buckets, unmarked, exact)
+    # np.median's finish: the mean of the middle value(s), after the root
+    return float(np.mean(np.sqrt(middle[[0, -1]])))
 
 
 def default_spec_grid(

@@ -4,7 +4,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from multigrank.dataset import Dataset, DomainRecord
-from multigrank.graphs import _closeness, _first_k, edge_weight
+from multigrank.graphs import _closeness, _first_k, _sq_dist, edge_weight
 
 
 def dataset_from_arrays(points, labels=None) -> Dataset:
@@ -59,3 +59,16 @@ def extended_laplacian_oracle(graphs, mu, ds, x0) -> np.ndarray:
     ``extend_graph_oracle``; graphs of weight 0 included."""
     return sum(w * laplacian_oracle(extend_graph_oracle(g, ds, x0)).toarray()
                for w, g in zip(mu, graphs))
+
+
+def median_pairwise_distance_oracle(X) -> float:
+    """Median distance over all pairs from a buffer of every squared distance,
+    filled row by row with ``_sq_dist``, as ``np.median`` finishes it."""
+    X = np.asarray(X, dtype=np.float64)
+    n = X.shape[0]
+    d2 = np.empty(n * (n - 1) // 2)
+    pos = 0
+    for i in range(n - 1):
+        d2[pos : pos + n - 1 - i] = _sq_dist(X[i + 1 :], X[i])
+        pos += n - 1 - i
+    return float(np.median(np.sqrt(d2, out=d2), overwrite_input=True))

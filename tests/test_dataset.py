@@ -256,6 +256,29 @@ class TestSplitQueries:
         assert db is full and queries.n == 6
         assert set(queries.ids) <= set(db.ids)
 
+    @pytest.mark.parametrize("mode", ["disjoint", "overlapping"])
+    def test_halves_reuse_checked_records(self, mode, monkeypatch):
+        full = generate_synthetic(3, 6, 2, 1.0, 5.0, 1)
+
+        def refuse(records):
+            raise AssertionError("split re-checked records already checked")
+
+        monkeypatch.setattr(Dataset, "from_records", refuse)
+        db, queries = split_queries(full, 2, mode, seed=9)
+        by_id = {rec.id: rec for rec in full.records}
+        for half in (db, queries):
+            assert half.dim == full.dim
+            assert all(rec is by_id[rec.id] for rec in half.records)
+        # both halves keep the full dataset's order
+        order = {rec.id: i for i, rec in enumerate(full.records)}
+        assert [order[i] for i in queries.ids] == sorted(order[i] for i in queries.ids)
+        assert [order[i] for i in db.ids] == sorted(order[i] for i in db.ids)
+
+    def test_half_of_one_record_rejected(self):
+        full = generate_synthetic(1, 3, 2, 1.0, 5.0, 1)
+        with pytest.raises(ValueError, match="at least 2 records"):
+            split_queries(full, 1, "disjoint")
+
     def test_disjoint_rejects_tiny_groups(self):
         full = generate_synthetic(2, 2, 2, 1.0, 5.0, 1)
         with pytest.raises(ValueError, match="carve"):

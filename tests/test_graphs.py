@@ -1,13 +1,23 @@
+import contextlib
 import hashlib
 import math
+import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import dataset_from_arrays, extend_graph_oracle, laplacian_oracle
+from helpers import (
+    dataset_from_arrays,
+    extend_graph_oracle,
+    laplacian_oracle,
+    median_pairwise_distance_oracle,
+)
 
+import multigrank.graphs as graphs
 from multigrank.dataset import generate_synthetic
 from multigrank.graphs import (
     SCHEMES,
@@ -159,6 +169,36 @@ class TestKnn:
             for k in range(1, n):
                 nbrs = knn_neighbors(ds, spec_for(scheme, k))
                 assert nbrs.tolist() == [r[:k] for r in oracle], (scheme, k)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_float32_jaccard_filter_matches_exhaustive_scan(self, data):
+        # the jaccard filter keys are float32: rows whose keys differ only
+        # below float32 resolution, features on both sides of its safe range
+        # [2^-100, 2^100] (tiny nonzero values, values near 2^+-100), and
+        # sparse rows with all-zero ones
+        case = data.draw(st.sampled_from(["resolution", "range", "sparse"]))
+        dim = data.draw(st.integers(1, 6))
+        n = data.draw(st.integers(3, 12))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        if case == "resolution":
+            base = rng.uniform(1.0, 2.0, size=dim)
+            X = base * (1.0 + rng.integers(-4, 5, size=(n, dim)) * 2.0**-30)
+        elif case == "range":
+            levels = [5e-324, 1e-40, 2.0**-101, 2.0**-100, 2.0**-99, 1.0,
+                      2.0**99, 2.0**100, 2.0**101, 1e300]
+            picks = data.draw(st.lists(st.sampled_from(levels), min_size=1, max_size=3))
+            X = rng.choice(picks, size=(n, dim)) * rng.uniform(1.0, 1.5, (n, dim))
+            X[rng.random((n, dim)) < 0.3] = 0.0
+        else:
+            X = rng.uniform(0.0, 1.0, (n, dim)) * (rng.random((n, dim)) < 0.25)
+        ds = dataset_from_arrays(X)
+        oracle = neighbors_oracle(X, "jaccard", n - 1, rounded_closeness)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in range(1, n):
+                nbrs = knn_neighbors(ds, spec_for("jaccard", k))
+                assert nbrs.tolist() == [r[:k] for r in oracle], k
 
     def test_zero_rows_score_zero_and_tie_by_index(self):
         # a zero row scores 0 against every row under tanimoto and jaccard,
@@ -757,3 +797,71 @@ def test_median_pairwise_distance_hand_case():
     X = np.array([[0.0], [1.0], [3.0]])
     # pairwise distances 1, 3, 2 -> median 2
     assert median_pairwise_distance(X) == 2.0
+
+
+class TestMedianPairwiseDistance:
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_row_oracle(self, data):
+        # even and odd pair counts, duplicate and all-identical rows, large
+        # common offsets, norms beyond 2^+-900 (the infinite margin), and
+        # near-tied distances under one far row, whose filter values reorder
+        # them; small blocks, buckets and keep limits drive the multi-block,
+        # multi-pass and split-rank paths on small inputs
+        case = data.draw(st.sampled_from(
+            ["uniform", "duplicate", "identical", "offset", "norm", "outlier"]
+        ))
+        n = data.draw(st.sampled_from([2, 3]) | st.integers(4, 40))
+        dim = data.draw(st.integers(1, 5))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        if case == "uniform":
+            X = rng.uniform(-1.0, 1.0, (n, dim))
+        elif case == "duplicate":
+            distinct = rng.uniform(0.0, 1.0, (data.draw(st.integers(1, 3)), dim))
+            X = distinct[rng.integers(0, len(distinct), n)]
+        elif case == "identical":
+            X = np.tile(rng.uniform(0.0, 1.0, dim), (n, 1))
+        elif case == "offset":
+            X = data.draw(st.sampled_from([1e6, 1e7, 1e8])) + rng.uniform(0, 1, (n, dim))
+        elif case == "norm":
+            scale = data.draw(st.sampled_from([1e-160, 1e-100, 1e100, 1e160]))
+            X = scale * rng.uniform(0.5, 1.0, (n, dim))
+        else:
+            X = rng.integers(0, 3, (n, dim)) + 1e-9 * rng.uniform(0, 1, (n, dim))
+            X[rng.integers(n)] = data.draw(st.sampled_from([1e6, 1e7, 1e8]))
+        small = mock.patch.multiple(
+            graphs, _KEY_ELEMS=64, _PAIR_ELEMS=64, _MEDIAN_BINS=4, _KEEP_VALUES=8
+        )
+        # the far row's near ties need narrow windows to reach a bucket edge
+        with small if case == "outlier" or data.draw(st.booleans()) else contextlib.nullcontext():
+            assert median_pairwise_distance(X) == median_pairwise_distance_oracle(X)
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e160])
+    def test_beyond_bounded_range_counts_exact_values(self, scale):
+        X = scale * np.random.default_rng(3).uniform(0.5, 1.0, (300, 4))
+        centred = X - X.mean(axis=0)
+        norms = np.einsum("ij,ij->i", centred, centred)
+        assert np.isinf(graphs._filter_margin(norms, 4, by_norm=True)).all()
+        assert median_pairwise_distance(X) == median_pairwise_distance_oracle(X)
+
+    def test_identical_rows_give_zero_and_unit_scale(self):
+        X = np.full((50, 3), 0.1)
+        assert median_pairwise_distance(X) == 0.0
+        grid = default_spec_grid(dataset_from_arrays(X))
+        assert {spec.sigma for spec in grid if spec.scheme == "gaussian"} == {0.5, 1.0, 2.0}
+
+    def test_needs_two_points(self):
+        with pytest.raises(ValueError, match="at least 2 points"):
+            median_pairwise_distance(np.zeros((1, 3)))
+
+    def test_no_buffer_of_all_pairs(self):
+        # the per-row oracle holds N(N-1)/2 squared distances: 36 MB at
+        # N=3000; numpy reports its array data to tracemalloc
+        X = np.array(generate_synthetic(5, 600, 32, 1.0, 5.0, 0).feature_matrix)
+        tracemalloc.start()
+        try:
+            median_pairwise_distance(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 36e6 / 4
