@@ -19,6 +19,9 @@ import numpy as np
 from .dataset import Dataset, dataset_fingerprint, json_field, json_fits, json_text
 from .specs import K_VALUES, SCHEMES, SIGMA_MULTIPLIERS, GraphSpec
 
+# triplets per json.dumps call in save_pool
+_SAVE_BLOCK = 1 << 14
+
 
 @dataclass(eq=False)
 class BaseGraph:
@@ -644,33 +647,28 @@ def default_spec_grid(
 
 
 def save_pool(pool: GraphPool, path) -> None:
-    """Persist a pool: header plus each graph's [i, j, weight] edge triplets."""
-    graphs = []
-    for graph in pool.graphs:
-        # json writes each tuple as an array
-        triplets = list(zip(graph.i.tolist(), graph.j.tolist(), graph.w.tolist()))
-        graphs.append(
-            {
-                "spec": {
-                    "scheme": graph.spec.scheme,
-                    "k": graph.spec.k,
-                    "sigma": graph.spec.sigma,
-                },
-                "nnz": len(triplets),
-                "triplets": triplets,
-            }
-        )
-    doc = {
-        "version": 1,
-        "M": pool.m,
-        "N": pool.n,
-        "d": pool.dim,
-        "fingerprint": pool.fingerprint,
-        "graphs": graphs,
-    }
+    """Persist a pool: header plus each graph's [i, j, weight] edge triplets.
+
+    The file is the ``json.dumps`` text of the whole document, written one
+    graph, and within it one block of ``_SAVE_BLOCK`` triplets, at a time,
+    so that no more than a block of triplets is held as Python objects.
+    """
+    head = {"version": 1, "M": pool.m, "N": pool.n, "d": pool.dim,
+            "fingerprint": pool.fingerprint, "graphs": []}
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc))
-        fh.write("\n")
+        # each document is written open, without its closing "]}"
+        fh.write(json.dumps(head)[:-2])
+        for index, graph in enumerate(pool.graphs):
+            spec = {"scheme": graph.spec.scheme, "k": graph.spec.k, "sigma": graph.spec.sigma}
+            fh.write((", " if index else "")
+                     + json.dumps({"spec": spec, "nnz": graph.i.size, "triplets": []})[:-2])
+            for lo in range(0, graph.i.size, _SAVE_BLOCK):
+                part = slice(lo, lo + _SAVE_BLOCK)
+                # json writes each tuple as an array
+                block = zip(graph.i[part].tolist(), graph.j[part].tolist(), graph.w[part].tolist())
+                fh.write((", " if lo else "") + json.dumps(list(block))[1:-1])
+            fh.write("]}")
+        fh.write("]}\n")
 
 
 def _triplet_arrays(index: int, n: int, trip):

@@ -10,17 +10,20 @@ Online: the query joins the database as node 0, ranked by
 ``(U + alpha L + ridge I) f = U y`` with U = diag(1, 0, ..., 0).  Only row
 and column 0 of that system change per query: its database block
 ``K = alpha L_db + ridge I`` is assembled on the edge table as the training
-system is and kept on the pool, and the query adds only the Laplacian of its
-own edges.  K is inverted once per pool and weights, and each query is
-solved by a low-rank update on the rows its edges touch, which reads only
-those columns of the inverse.  Every other solve, the direct path, runs the
-training's block conjugate gradients on the assembled sparse system.
+system is and kept on the pool, and the query adds only its star, the edges
+joining it to its neighbours, held as plain arrays (``QueryStar``).  K is
+inverted once per pool and weights, and each query is solved by a low-rank
+update on the rows its star touches, which reads only those columns of the
+inverse; no sparse matrix is built per query.  Every other solve, the direct
+path, assembles the sparse extended system from the star and runs the
+training's block conjugate gradients on it.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -142,40 +145,73 @@ def _solve_spd(A, rhs) -> np.ndarray:
     return X.reshape(np.shape(rhs))
 
 
-def _bordered_solve(L, y0: float, alpha: float, ridge: float, K, inv: np.ndarray):
+class QueryStar(NamedTuple):
+    """The query's star: node 0 joined to database nodes ``T + 1``.
+
+    ``T`` holds the neighbours in ascending order, ``w`` the combined weight
+    on each of their edges (all > 0), and ``degree`` the query's degree,
+    summed in graph order; ``n`` is the database size.  Its Laplacian is
+    ``degree`` at (0, 0), ``-w`` at (0, T + 1) and (T + 1, 0), and ``w`` at
+    (T + 1, T + 1).
+    """
+
+    T: np.ndarray
+    w: np.ndarray
+    degree: float
+    n: int
+
+
+def _star_laplacian(star: QueryStar) -> sp.csr_matrix:
+    """The (n + 1)^2 CSR Laplacian of the star, for the direct path."""
+    T, s = star.T, star.T.size
+    # row 0: the degree, then -w_T; row t + 1 for t in T: -w_t, then w_t
+    data = np.empty(3 * s + 1)
+    indices = np.zeros(3 * s + 1, dtype=T.dtype)
+    data[0] = star.degree
+    data[1 : s + 1] = data[s + 1 :: 2] = -star.w
+    data[s + 2 :: 2] = star.w
+    indices[1 : s + 1] = indices[s + 2 :: 2] = T + 1
+    indptr = np.zeros(star.n + 2, dtype=T.dtype)
+    indptr[1:] = s + 1 + 2 * np.searchsorted(T, np.arange(star.n + 1))
+    return sp.csr_matrix((data, indices, indptr), shape=(star.n + 1, star.n + 1))
+
+
+def _bordered_solve(star: QueryStar, y0: float, alpha: float, ridge: float, K,
+                    inv: np.ndarray):
     """Solve (e0 e0' + alpha L + blockdiag(ridge, K)) f = y0 e0 from ``inv = K^-1``.
 
-    ``L`` is the Laplacian of the query's edges, with the query as node 0, and
-    ``K = alpha L_db + ridge I`` the frozen database block.  With w the query's
-    edge weights, the database block of the system is ``B = K + alpha diag(w)``,
-    an update of K on the rows T that w touches.  Woodbury gives
-    ``B^-1 w = Q t`` with ``Q = K^-1 E_T``, the columns T of the inverse, and
-    ``(diag(1 / (alpha w_T)) + Q[T]) t = 1 / alpha``, solved here in the
-    symmetric form scaled by ``sqrt(alpha w_T)``.  The query row then gives
-    f0, and ``f_db = alpha f0 B^-1 w``.
+    ``L`` is the Laplacian of the query's star, and ``K = alpha L_db + ridge
+    I`` the frozen database block.  The database block of the system is
+    ``B = K + alpha diag(w)``, an update of K on the star's rows T.  Woodbury
+    gives ``B^-1 w = Q t`` with ``Q = K^-1 E_T``, the columns T of the
+    inverse, and ``(diag(1 / (alpha w_T)) + Q[T]) t = 1 / alpha``, solved
+    here in the symmetric form scaled by ``sqrt(alpha w_T)``.  The query row
+    then gives f0, and ``f_db = alpha f0 B^-1 w``.
 
     Returns None when the result is not finite or its relative residual
-    against the true system exceeds RESIDUAL_TOL.
+    against the true system exceeds RESIDUAL_TOL.  The residual is read from
+    the star's arrays: ``K f_db`` plus ``alpha w_t (f_t - f0)`` on the rows
+    T, and ``(1 + alpha degree + ridge) f0 - alpha w_T . f_T - y0`` on row 0.
     """
-    lo, hi = L.indptr[0], L.indptr[1]
-    row = np.bincount(L.indices[lo:hi], weights=L.data[lo:hi], minlength=L.shape[0])
-    T = np.flatnonzero(row[1:] < 0)
-    w_T = -row[1:][T]
-    a00 = 1.0 + alpha * row[0] + ridge
+    T, w_T = star.T, star.w
+    a00 = 1.0 + alpha * star.degree + ridge
     # C order, so that the products with Q below round alike for any layout of inv
     Q = np.ascontiguousarray(inv[:, T])
     sw = np.sqrt(alpha * w_T)
     M = np.eye(T.size) + sw[:, None] * Q[T] * sw[None, :]
     Bw = Q @ (sw * np.linalg.solve(M, sw / alpha))
     f0 = y0 / (a00 - alpha * alpha * (w_T @ Bw[T]))
-    f = np.concatenate(([f0], alpha * f0 * Bw))
-    resid = alpha * (L @ f)
-    resid[0] += ridge * f0 + f0 - y0
-    resid[1:] += K @ f[1:]
-    scale = abs(y0) if y0 != 0 else 1.0
-    if not np.all(np.isfinite(f)) or np.linalg.norm(resid) > RESIDUAL_TOL * scale:
+    f = np.empty(star.n + 1)
+    f[0] = f0
+    f_db = np.multiply(alpha * f0, Bw, out=f[1:])
+    if not np.all(np.isfinite(f)):
         return None
-    return f
+    f_T = f_db[T]
+    resid = K @ f_db
+    resid[T] += alpha * w_T * (f_T - f0)
+    resid0 = a00 * f0 - alpha * (w_T @ f_T) - y0
+    scale = abs(y0) if y0 != 0 else 1.0
+    return None if np.hypot(resid0, np.linalg.norm(resid)) > RESIDUAL_TOL * scale else f
 
 
 def grank_solve(L, u, y, alpha: float, ridge: float = 0.0, frozen=None) -> np.ndarray:
@@ -189,15 +225,17 @@ def grank_solve(L, u, y, alpha: float, ridge: float = 0.0, frozen=None) -> np.nd
 
     ``frozen`` is an optional pair ``(K, inv)`` for a query as node 0 (u =
     e0): ``K = alpha L_db + ridge I`` is the sparse database block and ``L``
-    the CSR Laplacian of the query's edges only, so the system is
-    ``diag(u) + alpha L + blockdiag(ridge, K)``; ``inv`` is None or K^-1, and
-    with it the system is solved by a low-rank update of the inverse, then by
-    the direct path if that result fails the residual check.  The direct path
-    solves the sparse system by block conjugate gradients (``_solve_spd``).
+    the query's ``QueryStar``, so the system is ``diag(u) + alpha L +
+    blockdiag(ridge, K)`` over N + 1 nodes; ``inv`` is None or K^-1, and
+    with it the system is solved by a low-rank update of the inverse on the
+    star's arrays, then by the direct path if that result fails the residual
+    check.  The direct path assembles the sparse system and solves it by
+    block conjugate gradients (``_solve_spd``).  Returns the N + 1 scores,
+    the query's first.
     """
     u = np.asarray(u, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    n = L.shape[0]
+    n = L.shape[0] if frozen is None else L.n + 1
     if u.shape != (n,) or y.shape != (n,):
         raise ValueError("grank_solve: dimension mismatch between L, u, y")
     if frozen is None:
@@ -212,7 +250,7 @@ def grank_solve(L, u, y, alpha: float, ridge: float = 0.0, frozen=None) -> np.nd
             f = _bordered_solve(L, float(y[0]), alpha, ridge, K, inv)
             if f is not None:
                 return f
-        A = (alpha * L + sp.block_diag(([[1.0 + ridge]], K))).tocsr()
+        A = (alpha * _star_laplacian(L) + sp.block_diag(([[1.0 + ridge]], K))).tocsr()
     if ridge == 0:
         # csgraph imports scipy.sparse.linalg, which only this branch needs
         from scipy.sparse.csgraph import connected_components
@@ -230,12 +268,13 @@ def _check_weight_count(mu, graphs) -> None:
         )
 
 
-def combine_laplacians(edges, mu: np.ndarray, n: int) -> sp.csr_matrix:
-    """(n + 1)^2 Laplacian of the star joining a query, node 0, to its
-    neighbours, with ``sum_m mu_m w_m`` on each edge, from one
-    ``(neighbours, weights)`` pair per graph as ``extend_graph`` gives them.
-    Sums run in graph order, and each graph's degree in neighbour order, so
-    the query row equals the combined extended graphs' Laplacian bit for bit.
+def combine_laplacians(edges, mu: np.ndarray, n: int) -> QueryStar:
+    """The star joining a query, node 0, to its neighbours among n database
+    nodes, with ``sum_m mu_m w_m`` on each edge, from one ``(neighbours,
+    weights)`` pair per graph as ``extend_graph`` gives them.  Sums run in
+    graph order, and each graph's degree in neighbour order, so the star's
+    Laplacian equals the query row of the combined extended graphs'
+    Laplacian bit for bit.
     """
     _check_weight_count(mu, edges)
     nbrs = np.concatenate([nb for nb, _ in edges])
@@ -245,17 +284,7 @@ def combine_laplacians(edges, mu: np.ndarray, n: int) -> sp.csr_matrix:
     for m, (_, w) in zip(mu, edges):
         degree += m * (np.cumsum(w)[-1] if w.size else 0.0)
     T = np.flatnonzero(border)
-    s = T.size
-    # row 0: the degree, then -w_T; row t + 1 for t in T: -w_t, then w_t
-    data = np.empty(3 * s + 1)
-    indices = np.zeros(3 * s + 1, dtype=T.dtype)
-    data[0] = degree
-    data[1 : s + 1] = data[s + 1 :: 2] = -border[T]
-    data[s + 2 :: 2] = border[T]
-    indices[1 : s + 1] = indices[s + 2 :: 2] = T + 1
-    indptr = np.zeros(n + 2, dtype=T.dtype)
-    indptr[1:] = s + 1 + 2 * np.searchsorted(T, np.arange(n + 1))
-    return sp.csr_matrix((data, indices, indptr), shape=(n + 1, n + 1))
+    return QueryStar(T, border[T], degree, n)
 
 
 def _database_system(pool: GraphPool, mu: np.ndarray, alpha: float, shift: float):
@@ -502,10 +531,10 @@ def _rank_extended(pool: GraphPool, mu: np.ndarray, ds: Dataset, x0, alpha: floa
     selections = select_per_measure([g.spec for g in graphs],
                                     lambda spec: query_neighbors(ds, x0, spec))
     edges = [extend_graph(g, ds, x0, nbrs) for g, nbrs in zip(graphs, selections)]
-    L = combine_laplacians(edges, mu[active], pool.n)
+    star = combine_laplacians(edges, mu[active], pool.n)
     u = np.zeros(pool.n + 1)
     u[0] = 1.0
-    f = grank_solve(L, u, u.copy(), alpha, ridge, frozen=_frozen_factor(pool, mu, alpha, ridge))
+    f = grank_solve(star, u, u.copy(), alpha, ridge, frozen=_frozen_factor(pool, mu, alpha, ridge))
     return make_ranked(query_id, f[1:], ds.ids)
 
 

@@ -61,6 +61,16 @@ def extended_laplacian_oracle(graphs, mu, ds, x0) -> np.ndarray:
                for w, g in zip(mu, graphs))
 
 
+def star_laplacian_dense(star) -> np.ndarray:
+    """The (n+1)^2 Laplacian of a query's star, dense, from its arrays: the
+    degree at (0, 0), ``-w`` at (0, T+1) and (T+1, 0), ``w`` at (T+1, T+1)."""
+    L = np.zeros((star.n + 1, star.n + 1))
+    L[0, 0] = star.degree
+    L[0, star.T + 1] = L[star.T + 1, 0] = -star.w
+    L[star.T + 1, star.T + 1] = star.w
+    return L
+
+
 def median_pairwise_distance_oracle(X) -> float:
     """Median distance over all pairs from a buffer of every squared distance,
     filled row by row with ``_sq_dist``, as ``np.median`` finishes it."""

@@ -15,6 +15,7 @@ from helpers import (
     extend_graph_oracle,
     laplacian_oracle,
     median_pairwise_distance_oracle,
+    star_laplacian_dense,
 )
 
 import multigrank.graphs as graphs
@@ -22,6 +23,7 @@ from multigrank.dataset import generate_synthetic
 from multigrank.graphs import (
     SCHEMES,
     BaseGraph,
+    GraphPool,
     GraphSpec,
     build_graph,
     build_pool,
@@ -35,7 +37,7 @@ from multigrank.graphs import (
     save_pool,
     select_per_measure,
 )
-from multigrank.ranker import _database_system, combine_laplacians
+from multigrank.ranker import _database_system, _star_laplacian, combine_laplacians
 
 
 def spec_for(scheme, k, sigma=1.0):
@@ -492,6 +494,47 @@ class TestPool:
                 old, new = getattr(g_old, name), getattr(g_new, name)
                 assert old.dtype == new.dtype and old.tobytes() == new.tobytes()
 
+    def test_streamed_bytes_match_one_document(self, tmp_path, monkeypatch):
+        # blocks of 3 triplets, so graphs end inside and at a block's end,
+        # and a graph with no edge: the bytes are json.dumps of the whole
+        # document, as one string
+        import json
+
+        ds = generate_synthetic(2, 4, 3, 1.0, 4.0, 1)
+        pool = build_pool(ds, [spec_for("gaussian", 1), spec_for("cosine", 2),
+                               spec_for("jaccard", 3)])
+        no_edges = np.empty(0, dtype=np.int64)
+        lonely = BaseGraph(spec_for("tanimoto", 1), ds.n, no_edges, no_edges, np.empty(0))
+        pool = GraphPool(pool.graphs[:2] + (lonely,) + pool.graphs[2:], pool.fingerprint, pool.dim)
+        doc = {"version": 1, "M": pool.m, "N": pool.n, "d": pool.dim,
+               "fingerprint": pool.fingerprint,
+               "graphs": [{"spec": {"scheme": g.spec.scheme, "k": g.spec.k, "sigma": g.spec.sigma},
+                           "nnz": int(g.i.size),
+                           "triplets": [[int(a), int(b), float(c)]
+                                        for a, b, c in zip(g.i, g.j, g.w)]}
+                          for g in pool.graphs]}
+        assert 0 in {g.i.size % 3 for g in pool.graphs if g.i.size}
+        assert {g.i.size % 3 for g in pool.graphs} != {0}
+        path = tmp_path / "pool.json"
+        for block in (3, graphs._SAVE_BLOCK):
+            monkeypatch.setattr(graphs, "_SAVE_BLOCK", block)
+            save_pool(pool, path)
+            assert path.read_text(encoding="utf-8") == json.dumps(doc) + "\n"
+        assert [g.i.size for g in load_pool(path).graphs] == [g.i.size for g in pool.graphs]
+
+    def test_save_holds_one_block_of_triplets(self, tmp_path):
+        # 83k edges at N=1000: as one document, the triplets and its text
+        # take 17 MB of Python objects; a block of them takes 3.4 MB
+        ds = generate_synthetic(5, 200, 32, 1.0, 5.0, 0)
+        pool = build_pool(ds, default_spec_grid(ds))
+        tracemalloc.start()
+        try:
+            save_pool(pool, tmp_path / "pool.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
     def test_shuffled_triplets_load_sorted(self, tmp_path):
         import json
 
@@ -643,8 +686,8 @@ def test_load_pool_rejects_corrupt_file(tmp_path, corrupt, message):
         load_pool(path)
 
 
-def query_laplacian(graph, ds, x0):
-    """The query's edges into one graph as an (N+1)^2 Laplacian."""
+def query_star(graph, ds, x0):
+    """The query's star in one graph, as ``combine_laplacians`` holds it."""
     return combine_laplacians([extend_graph(graph, ds, x0)], np.ones(1), graph.n)
 
 
@@ -666,7 +709,7 @@ class TestExtend:
     def test_laplacian_invariants(self):
         # the query's edges plus the frozen database block: the extended Laplacian
         ds, g = self._setup()
-        L = query_laplacian(g, ds, np.full(3, 0.5)).toarray()
+        L = star_laplacian_dense(query_star(g, ds, np.full(3, 0.5)))
         L[1:, 1:] += laplacian_oracle(g.weights).toarray()
         assert np.abs(L @ np.ones(g.n + 1)).max() <= 1e-12
         assert np.linalg.eigvalsh(L).min() >= -1e-10
@@ -676,7 +719,7 @@ class TestExtend:
         # must not, so only its row/column 0 is allowed to differ
         ds, g = self._setup()
         x0 = ds.feature_matrix.mean(axis=0)
-        L = query_laplacian(g, ds, x0).toarray()
+        L = star_laplacian_dense(query_star(g, ds, x0))
         block = L[1:, 1:]
         assert np.array_equal(block, np.diag(np.diag(block)))
         ext = extend_graph_oracle(g, ds, x0)
@@ -750,27 +793,37 @@ def arbitrary_graph(rng, n, spec):
 
 
 def assert_query_row_matches(graph, ds, x0):
-    """extend_graph's edges, and the query Laplacian combine_laplacians
-    builds from them, against the extended graph's coordinate-format build:
-    the query row bit for bit, the database rows to rounding."""
+    """extend_graph's edges, and the query's star combine_laplacians builds
+    from them, against the extended graph's coordinate-format build: the
+    star's neighbours, weights and degree bit for bit against the query row,
+    the direct path's CSR assembly of the star likewise, and the database
+    rows to rounding."""
     nbrs, w = extend_graph(graph, ds, x0)
     oracle = extend_graph_oracle(graph, ds, x0)
     row = oracle.getrow(0)
     assert np.array_equal(nbrs + 1, row.indices) and w.tobytes() == row.data.tobytes()
-    L_q = query_laplacian(graph, ds, x0)
+    star = query_star(graph, ds, x0)
     full = laplacian_oracle(oracle)
-    assert_same_bits(L_q.getrow(0), full.getrow(0))
-    assert L_q[0, 0] == (oracle @ np.ones(graph.n + 1))[0]
-    L = L_q.toarray()
+    row0 = full.getrow(0)
+    assert star.T.dtype.kind == "i" and np.array_equal(star.T + 1, row0.indices[1:])
+    assert row0.indices[0] == 0 and star.n == graph.n
+    assert (-star.w).tobytes() == row0.data[1:].tobytes()
+    assert np.float64(star.degree).tobytes() == row0.data[:1].tobytes()
+    assert star.degree == (oracle @ np.ones(graph.n + 1))[0]
+    L_q = _star_laplacian(star)
+    assert_same_bits(L_q.getrow(0), row0)
+    L = star_laplacian_dense(star)
+    assert np.array_equal(L_q.toarray(), L)
     L[1:, 1:] += laplacian_oracle(graph.weights).toarray()
     assert np.abs(L - full.toarray()).max() <= 1e-14 * np.abs(full.toarray()).max()
 
 
 class TestCsrAssembly:
-    """combine_laplacians assembles CSR arrays directly from extend_graph's
-    edges; its query row, which is all the inverse path reads, must equal
-    the sparse-format build of the extended graph's Laplacian bit for bit,
-    and the database system at one-hot weights must equal D - W."""
+    """combine_laplacians holds the query's star as arrays, which is all the
+    inverse path reads, and the direct path assembles CSR arrays directly
+    from them; both must equal the query row of the sparse-format build of
+    the extended graph's Laplacian bit for bit, and the database system at
+    one-hot weights must equal D - W."""
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12), scheme=st.sampled_from(SCHEMES))
     @settings(max_examples=200, deadline=None)

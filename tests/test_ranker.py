@@ -1,7 +1,11 @@
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from helpers import (
     random_labels,
 )
 
+import multigrank
 from multigrank.dataset import (
     Dataset,
     DomainRecord,
@@ -645,8 +650,8 @@ class TestFrozenFactor:
         u = query_selector(one.n)
         K, inv = _frozen_factor(pool, mu.mu, 0.7, 0.0)
         assert inv is None
-        L_q = combine_laplacians([extend_graph(g, one, x0) for g in pool.graphs], mu.mu, one.n)
-        direct = grank_solve(L_q, u, u.copy(), alpha=0.7, frozen=(K, None))
+        star = combine_laplacians([extend_graph(g, one, x0) for g in pool.graphs], mu.mu, one.n)
+        direct = grank_solve(star, u, u.copy(), alpha=0.7, frozen=(K, None))
         assert np.array_equal(rank_online(model, pool, one, x0).scores, direct[1:])
         oracle = grank_solve(extended_laplacian(pool, mu.mu, one, x0), u, u.copy(), alpha=0.7)
         assert np.linalg.norm(direct - oracle) / np.linalg.norm(oracle) <= 1e-8
@@ -731,6 +736,66 @@ class TestFrozenFactor:
         assert np.abs(Q - oracle).max() <= 1e-10 * np.abs(oracle).max()
 
 
+def test_inverse_path_queries_build_no_sparse_matrix():
+    # once the frozen factor is held, each query's star stays plain arrays:
+    # with the sparse constructors refused, the multi-graph and single-graph
+    # arms still rank, by the inverse path, to the scores they gave before
+    import multigrank.ranker as ranker
+    from multigrank.graphs import default_spec_grid
+
+    ds = generate_synthetic(3, 20, 4, 1.0, 4.0, 1)
+    pool = build_pool(ds, default_spec_grid(ds))
+    params = HyperParams()
+    model = RankModel(GraphWeights(np.full(pool.m, 1.0 / pool.m)), params, pool.fingerprint, [])
+    arms = [lambda x: rank_online(model, pool, ds, x),
+            lambda x: grank_online(pool, 5, ds, x, params)]
+    queries = [ds.records[3].features + 0.1, ds.records[40].features,
+               np.full(ds.dim, float(ds.feature_matrix.mean()))]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sparse matrix built for a query")
+
+    for arm in arms:
+        expected = [arm(x0).scores for x0 in queries]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ranker.sp, "csr_matrix", refuse)
+            patch.setattr(ranker.sp, "block_diag", refuse)
+            refuse_direct_solve(patch)
+            for x0, scores in zip(queries, expected):
+                assert np.array_equal(arm(x0).scores, scores)
+
+
+def test_uniform_weights_online_scores_golden(tmp_path):
+    # sha256 of the concatenated rank_online scores under uniform weights over
+    # the default grid (numpy 2.4.6, scipy 1.17.1, x86-64): each query's star
+    # sums 14 graphs' edges over four measures.  The scores depend on the BLAS
+    # thread count through the LAPACK inverse, so they are computed in a
+    # fresh process on one thread.
+    code = """
+import hashlib
+import numpy as np
+from multigrank.dataset import generate_synthetic, split_queries
+from multigrank.graphs import build_pool, default_spec_grid
+from multigrank.ranker import GraphWeights, HyperParams, RankModel, rank_online
+db, queries = split_queries(generate_synthetic(5, 41, 32, 1.0, 6.0, 7), 1, "disjoint")
+pool = build_pool(db, default_spec_grid(db))
+mu = GraphWeights(np.full(pool.m, 1.0 / pool.m))
+model = RankModel(mu, HyperParams(), pool.fingerprint, [])
+h = hashlib.sha256()
+for rec in queries.records:
+    h.update(rank_online(model, pool, db, rec.features).scores.tobytes())
+print(pool.m, db.n, h.hexdigest())
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(multigrank.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [
+        "14", "200", "14a9ac5b5def38adaaa37c8875a33f1c82c3f5fa3033e9ee8b3956160fcf0bf4"
+    ]
+
+
 def offset_clusters():
     """60 rows in two 4-d clusters 100 apart; a gaussian k=3, sigma=1 graph
     leaves them two components."""
@@ -753,8 +818,8 @@ def test_uniform_weights_select_once_per_measure(monkeypatch):
     x0 = ds.records[4].features + 0.1
     # each graph selecting its own neighbours gives the same scores
     mu, u = model.weights.mu, query_selector(ds.n)
-    L_q = combine_laplacians([extend_graph(g, ds, x0) for g in pool.graphs], mu, ds.n)
-    alone = grank_solve(L_q, u, u.copy(), 1.0, 1e-8, frozen=_frozen_factor(pool, mu, 1.0, 1e-8))
+    star = combine_laplacians([extend_graph(g, ds, x0) for g in pool.graphs], mu, ds.n)
+    alone = grank_solve(star, u, u.copy(), 1.0, 1e-8, frozen=_frozen_factor(pool, mu, 1.0, 1e-8))
     widths = []
     select = ranker.query_neighbors
 
@@ -870,8 +935,8 @@ class TestConjugateGradientPath:
             f = grank_solve(L, u, u.copy(), alpha=0.8, ridge=ridge, frozen=None)
             oracle = np.linalg.inv(np.diag(u + ridge) + 0.8 * L.toarray()) @ u
             assert np.linalg.norm(f - oracle) / np.linalg.norm(oracle) <= 1e-8
-            L_q = combine_laplacians([extend_graph(g, ds, x0) for g in pool.graphs], mu, ds.n)
-            f = grank_solve(L_q, u, u.copy(), alpha=0.8, ridge=ridge, frozen=(K, None))
+            star = combine_laplacians([extend_graph(g, ds, x0) for g in pool.graphs], mu, ds.n)
+            f = grank_solve(star, u, u.copy(), alpha=0.8, ridge=ridge, frozen=(K, None))
             assert np.linalg.norm(f - oracle) / np.linalg.norm(oracle) <= 1e-8
 
     def test_chain_graph_within_the_step_cap(self, monkeypatch):
