@@ -19,7 +19,7 @@ _ORIGIN = {
             "split_queries",
         ),
         "evaluation": (
-            "Curve", "EvalReport", "auc", "auc_from_scores", "evaluate_queries", "roc_curve",
+            "Curve", "EvalReport", "auc_from_scores", "evaluate_queries", "roc_curve",
         ),
         "specs": ("SCHEMES", "GraphSpec", "HyperParams"),
         "graphs": (
@@ -28,8 +28,8 @@ _ORIGIN = {
         ),
         "ranker": (
             "GraphWeights", "RankedList", "RankModel", "SingularSystemError",
-            "grank_online", "grank_solve", "load_model", "minimize_weights",
-            "offline_f_update", "offline_objective", "project_to_simplex", "rank_online",
+            "grank_online", "load_model", "minimize_weights", "offline_f_update",
+            "project_to_simplex", "rank_online",
             "rank_pairwise_baseline", "save_model", "smoothness_terms", "train_offline",
         ),
     }.items()

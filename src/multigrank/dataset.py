@@ -2,14 +2,15 @@
 
 A dataset is an ordered list of records, each carrying a string id, a
 hierarchical label path (e.g. ``("c.1", "c.1.12", "c.1.12.7")``) and a fixed-
-dimension feature vector.  Labels use ``/`` as the level separator in files.
+dimension feature vector.  Dataset files are CSV, ``id,label,f1,...,fd``,
+with ``/`` as the level separator of labels.  The JSON helpers here check the
+fields of the pool, model and config files.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
-import json
 import types
 import typing
 from dataclasses import dataclass
@@ -19,8 +20,6 @@ from pathlib import Path
 import numpy as np
 
 LABEL_SEP = "/"
-
-_FORMATS = ("csv", "json")
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,15 +138,13 @@ def _parse_features(values, row: int) -> np.ndarray:
     for col, raw in enumerate(values):
         try:
             feats[col] = float(raw)
-        except OverflowError:  # a JSON integer; a CSV string overflows to inf
-            raise ValueError(f"number {json_text(raw)} out of float range at row {row}") from None
-        except (TypeError, ValueError):
+        except ValueError:
             raise ValueError(f"unparseable number {raw!r} at row {row}") from None
     return feats
 
 
 def _parse_label(raw: str) -> tuple[str, ...]:
-    return tuple(str(raw).split(LABEL_SEP))
+    return tuple(raw.split(LABEL_SEP))
 
 
 # float(int) rounds to nearest, ties to even: from this value up, halfway
@@ -204,26 +201,18 @@ def json_field(doc, key: str, hint, where: str):
     return doc[key]
 
 
-def _format(path: Path) -> str:
-    """The dataset format named by the file suffix, ``csv`` or ``json``."""
-    fmt = path.suffix.lstrip(".").lower()
-    if fmt not in _FORMATS:
-        raise ValueError(f"unknown dataset format {fmt!r}; expected one of {_FORMATS}")
-    return fmt
-
-
 def load_dataset(path) -> Dataset:
-    """Load a dataset from CSV (``id,label,f1,...,fd``) or JSON, as the file
-    suffix says.
+    """Load a dataset from CSV (``id,label,f1,...,fd``); a path without the
+    ``.csv`` suffix raises ValueError.
 
     Row order is preserved; all dataset invariants are validated.
     """
     path = Path(path)
-    if _format(path) == "csv":
-        records = _load_csv(path)
-    else:
-        records = _load_json(path)
-    return Dataset.from_records(records)
+    if path.suffix.lower() != ".csv":
+        raise ValueError(
+            f"unknown dataset format {path.suffix!r} of {path}: datasets are CSV files (.csv)"
+        )
+    return Dataset.from_records(_load_csv(path))
 
 
 def _load_csv(path: Path) -> list[DomainRecord]:
@@ -247,51 +236,15 @@ def _load_csv(path: Path) -> list[DomainRecord]:
     return records
 
 
-def _load_json(path: Path) -> list[DomainRecord]:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, list) or not doc:
-        raise ValueError(f"empty dataset file: {path}")
-    records = []
-    for row, entry in enumerate(doc, start=1):
-        try:
-            rec_id, label, feats = entry["id"], entry["label"], entry["features"]
-        except (TypeError, KeyError):
-            raise ValueError(f"malformed record at row {row}") from None
-        if not isinstance(feats, list):
-            raise ValueError(f"features must be a list of numbers at row {row}")
-        # an integer past float range fits int, and _parse_features names it
-        bad = [raw for raw in feats if not json_fits(raw, int | float)]
-        if bad:
-            raise ValueError(f"feature {json_text(bad[0])} is not a number at row {row}")
-        records.append(DomainRecord(str(rec_id), _parse_label(label), _parse_features(feats, row)))
-    return records
-
-
 def save_dataset(ds: Dataset, path) -> None:
-    """Write a dataset back to CSV or JSON, as the file suffix says; inverse
-    of load_dataset."""
-    path = Path(path)
-    if _format(path) == "csv":
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["id", "label"] + [f"f{i}" for i in range(1, ds.dim + 1)])
-            for rec in ds.records:
-                writer.writerow(
-                    [rec.id, LABEL_SEP.join(rec.label)] + [repr(float(v)) for v in rec.features]
-                )
-    else:
-        doc = [
-            {
-                "id": rec.id,
-                "label": LABEL_SEP.join(rec.label),
-                "features": [float(v) for v in rec.features],
-            }
-            for rec in ds.records
-        ]
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
+    """Write a dataset as CSV; inverse of load_dataset."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["id", "label"] + [f"f{i}" for i in range(1, ds.dim + 1)])
+        for rec in ds.records:
+            writer.writerow(
+                [rec.id, LABEL_SEP.join(rec.label)] + [repr(float(v)) for v in rec.features]
+            )
 
 
 def relevance_matrix(ds: Dataset, level: int) -> RelevanceMatrix:

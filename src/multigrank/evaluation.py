@@ -83,11 +83,6 @@ def roc_curve(ranked: RankedList, relevant_mask) -> Curve:
     return Curve(fpr=(k - tp) / (n - p), tpr=tp / p, precision=precision)
 
 
-def auc(curve: Curve) -> float:
-    """Trapezoidal area under the ROC curve."""
-    return float(np.trapezoid(curve.tpr, curve.fpr))
-
-
 def _average_ranks(a: np.ndarray) -> np.ndarray:
     """1-based ranks of ``a`` ascending; each tied run gets the mean of its positions."""
     order = np.argsort(a, kind="stable")

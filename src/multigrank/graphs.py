@@ -377,17 +377,15 @@ def knn_neighbors(ds: Dataset, spec: GraphSpec) -> np.ndarray:
     return out
 
 
-def build_graph(ds: Dataset, spec: GraphSpec, neighbors=None) -> BaseGraph:
+def build_graph(ds: Dataset, spec: GraphSpec, neighbors) -> BaseGraph:
     """Realize a spec against a dataset: the union-symmetrized kNN edges.
 
-    ``neighbors`` is the spec's (N, k) neighbor array when already selected,
-    as ``build_pool`` does; by default it comes from ``knn_neighbors``.
+    ``neighbors`` is the spec's (N, k) neighbor array, as ``knn_neighbors``
+    selects it and ``build_pool`` slices it from a shared selection.
     """
     X = ds.feature_matrix
     n = X.shape[0]
-    if neighbors is None:
-        neighbors = knn_neighbors(ds, spec)
-    elif np.shape(neighbors) != (n, spec.k):
+    if np.shape(neighbors) != (n, spec.k):
         raise ValueError(
             f"neighbors have shape {np.shape(neighbors)}, expected {(n, spec.k)}"
         )
@@ -444,18 +442,16 @@ def query_neighbors(ds: Dataset, x0, spec: GraphSpec) -> np.ndarray:
     return _first_k(-_closeness(x0, ds.feature_matrix, spec)[None, :], spec.k)[0]
 
 
-def extend_graph(graph: BaseGraph, ds: Dataset, x0, neighbors=None):
+def extend_graph(graph: BaseGraph, ds: Dataset, x0, neighbors):
     """The edges a query adds to a database graph as node 0, whose database
     block is frozen: its k nearest database nodes under the graph's spec, in
-    ascending order, and the clamped weights to them.  ``neighbors``, when
-    given, is the query's selection under the graph's measure, closest first,
-    at least k long; by default it comes from ``query_neighbors``.
+    ascending order, and the clamped weights to them.  ``neighbors`` is the
+    query's selection under the graph's measure, closest first, at least k
+    long, as ``query_neighbors`` gives it.
     """
     x0 = query_vector(ds, x0)
     if graph.n != ds.n:
         raise ValueError("graph and dataset have different node counts")
-    if neighbors is None:
-        neighbors = query_neighbors(ds, x0, graph.spec)
     nbrs = np.sort(neighbors[: graph.spec.k])
     return nbrs, np.maximum(edge_weight(x0, ds.feature_matrix[nbrs], graph.spec), 0.0)
 

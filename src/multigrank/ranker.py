@@ -6,17 +6,17 @@ quadratic update of the graph weights mu, recording the joint objective.
 Both run on the pool's edge table: the score solve by Jacobi-preconditioned
 conjugate gradients, warm-started from the previous scores, and the
 roughness terms from squared score differences along the edges.
-Online: the query joins the database as node 0, ranked by
-``(U + alpha L + ridge I) f = U y`` with U = diag(1, 0, ..., 0).  Only row
-and column 0 of that system change per query: its database block
-``K = alpha L_db + ridge I`` is assembled on the edge table as the training
-system is and kept on the pool, and the query adds only its star, the edges
-joining it to its neighbours, held as plain arrays (``QueryStar``).  K is
-inverted once per pool and weights, and each query is solved by a low-rank
-update on the rows its star touches, which reads only those columns of the
-inverse; no sparse matrix is built per query.  Every other solve, the direct
-path, assembles the sparse extended system from the star and runs the
-training's block conjugate gradients on it.
+Online: the query joins the database as node 0, the one known entry, and is
+ranked by ``(e0 e0' + alpha L + ridge I) f = e0``.  Only row and column 0 of
+that system change per query: its database block ``K = alpha L_db + ridge
+I`` is assembled on the edge table as the training system is and kept on
+the pool, and the query adds only its star, the edges joining it to its
+neighbours, held as plain arrays (``QueryStar``).  K is inverted once per
+pool and weights, and each query is solved by a low-rank update on the rows
+its star touches, which reads only those columns of the inverse; no sparse
+matrix is built per query.  Every other solve, the direct path, assembles
+the sparse extended system from the star and runs the training's block
+conjugate gradients on it.
 """
 
 from __future__ import annotations
@@ -87,9 +87,6 @@ class RankedList:
     scores: np.ndarray
     order: np.ndarray
     item_ids: tuple[str, ...]
-
-    def top_ids(self, k: int) -> tuple[str, ...]:
-        return tuple(self.item_ids[i] for i in self.order[:k])
 
 
 def make_ranked(query_id: str, scores, item_ids) -> RankedList:
@@ -176,9 +173,8 @@ def _star_laplacian(star: QueryStar) -> sp.csr_matrix:
     return sp.csr_matrix((data, indices, indptr), shape=(star.n + 1, star.n + 1))
 
 
-def _bordered_solve(star: QueryStar, y0: float, alpha: float, ridge: float, K,
-                    inv: np.ndarray):
-    """Solve (e0 e0' + alpha L + blockdiag(ridge, K)) f = y0 e0 from ``inv = K^-1``.
+def _bordered_solve(star: QueryStar, alpha: float, ridge: float, K, inv: np.ndarray):
+    """Solve (e0 e0' + alpha L + blockdiag(ridge, K)) f = e0 from ``inv = K^-1``.
 
     ``L`` is the Laplacian of the query's star, and ``K = alpha L_db + ridge
     I`` the frozen database block.  The database block of the system is
@@ -191,7 +187,7 @@ def _bordered_solve(star: QueryStar, y0: float, alpha: float, ridge: float, K,
     Returns None when the result is not finite or its relative residual
     against the true system exceeds RESIDUAL_TOL.  The residual is read from
     the star's arrays: ``K f_db`` plus ``alpha w_t (f_t - f0)`` on the rows
-    T, and ``(1 + alpha degree + ridge) f0 - alpha w_T . f_T - y0`` on row 0.
+    T, and ``(1 + alpha degree + ridge) f0 - alpha w_T . f_T - 1`` on row 0.
     """
     T, w_T = star.T, star.w
     a00 = 1.0 + alpha * star.degree + ridge
@@ -200,7 +196,7 @@ def _bordered_solve(star: QueryStar, y0: float, alpha: float, ridge: float, K,
     sw = np.sqrt(alpha * w_T)
     M = np.eye(T.size) + sw[:, None] * Q[T] * sw[None, :]
     Bw = Q @ (sw * np.linalg.solve(M, sw / alpha))
-    f0 = y0 / (a00 - alpha * alpha * (w_T @ Bw[T]))
+    f0 = 1.0 / (a00 - alpha * alpha * (w_T @ Bw[T]))
     f = np.empty(star.n + 1)
     f[0] = f0
     f_db = np.multiply(alpha * f0, Bw, out=f[1:])
@@ -209,63 +205,40 @@ def _bordered_solve(star: QueryStar, y0: float, alpha: float, ridge: float, K,
     f_T = f_db[T]
     resid = K @ f_db
     resid[T] += alpha * w_T * (f_T - f0)
-    resid0 = a00 * f0 - alpha * (w_T @ f_T) - y0
-    scale = abs(y0) if y0 != 0 else 1.0
-    return None if np.hypot(resid0, np.linalg.norm(resid)) > RESIDUAL_TOL * scale else f
+    resid0 = a00 * f0 - alpha * (w_T @ f_T) - 1.0
+    return None if np.hypot(resid0, np.linalg.norm(resid)) > RESIDUAL_TOL else f
 
 
-def grank_solve(L, u, y, alpha: float, ridge: float = 0.0, frozen=None) -> np.ndarray:
-    """Single-graph regularized scores: solve (diag(u) + alpha L + ridge I) f = diag(u) y.
+def grank_solve(star: QueryStar, frozen, alpha: float, ridge: float) -> np.ndarray:
+    """The online scores: solve (e0 e0' + alpha L + blockdiag(ridge, K)) f = e0.
 
-    ``u`` is the diagonal of the 0/1 selection matrix marking entries of ``y``
-    that are known.  With ridge = 0 this is the exact closed form; a positive
-    ridge keeps the system nonsingular when the graph is disconnected.  At
-    ridge = 0, a component of the graph with no known entry makes the system
-    singular and raises SingularSystemError before any solve.
-
-    ``frozen`` is an optional pair ``(K, inv)`` for a query as node 0 (u =
-    e0): ``K = alpha L_db + ridge I`` is the sparse database block and ``L``
-    the query's ``QueryStar``, so the system is ``diag(u) + alpha L +
-    blockdiag(ridge, K)`` over N + 1 nodes; ``inv`` is None or K^-1, and
-    with it the system is solved by a low-rank update of the inverse on the
-    star's arrays, then by the direct path if that result fails the residual
-    check.  The direct path assembles the sparse system and solves it by
-    block conjugate gradients (``_solve_spd``).  Returns the N + 1 scores,
-    the query's first.
+    The query is node 0, the one known entry, joined to the database by its
+    star ``L`` (a ``QueryStar``).  ``frozen`` is ``_frozen_factor``'s pair
+    ``(K, inv)``: ``K = alpha L_db + ridge I`` is the sparse database block,
+    and ``inv`` is K^-1 or None.  With the inverse, the system is solved by a
+    low-rank update of it on the star's arrays (``_bordered_solve``).
+    Without it, or when that result fails the residual check, the direct
+    path assembles the sparse system and solves it by block conjugate
+    gradients (``_solve_spd``).  At ridge 0 the direct path first raises
+    SingularSystemError when the system has more than one connected
+    component: one of them holds no known entry, so the system is singular.
+    Returns the N + 1 scores, the query's first.
     """
-    u = np.asarray(u, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    n = L.shape[0] if frozen is None else L.n + 1
-    if u.shape != (n,) or y.shape != (n,):
-        raise ValueError("grank_solve: dimension mismatch between L, u, y")
-    if frozen is None:
-        A = (alpha * sp.csr_matrix(L) + sp.diags(u + ridge)).tocsr()
-    else:
-        K, inv = frozen
-        if u[0] != 1.0 or u[1:].any():
-            raise ValueError("grank_solve: a frozen database block needs u = e0")
-        if K.shape != (n - 1, n - 1):
-            raise ValueError("grank_solve: frozen block does not match the system")
-        if inv is not None:
-            f = _bordered_solve(L, float(y[0]), alpha, ridge, K, inv)
-            if f is not None:
-                return f
-        A = (alpha * _star_laplacian(L) + sp.block_diag(([[1.0 + ridge]], K))).tocsr()
+    K, inv = frozen
+    if inv is not None:
+        f = _bordered_solve(star, alpha, ridge, K, inv)
+        if f is not None:
+            return f
+    A = (alpha * _star_laplacian(star) + sp.block_diag(([[1.0 + ridge]], K))).tocsr()
     if ridge == 0:
         # csgraph imports scipy.sparse.linalg, which only this branch needs
         from scipy.sparse.csgraph import connected_components
 
-        n_comp, comp = connected_components(A != 0, directed=False)
-        if not np.bincount(comp[u > 0], minlength=n_comp).all():
+        if connected_components(A != 0, directed=False)[0] > 1:
             raise SingularSystemError(SINGULAR_MSG)
-    return _solve_spd(A, u * y)
-
-
-def _check_weight_count(mu, graphs) -> None:
-    if len(mu) != len(graphs):
-        raise ValueError(
-            f"model has {len(mu)} graph weights but the pool has {len(graphs)} graphs"
-        )
+    rhs = np.zeros(star.n + 1)
+    rhs[0] = 1.0
+    return _solve_spd(A, rhs)
 
 
 def combine_laplacians(edges, mu: np.ndarray, n: int) -> QueryStar:
@@ -276,7 +249,6 @@ def combine_laplacians(edges, mu: np.ndarray, n: int) -> QueryStar:
     Laplacian equals the query row of the combined extended graphs'
     Laplacian bit for bit.
     """
-    _check_weight_count(mu, edges)
     nbrs = np.concatenate([nb for nb, _ in edges])
     border = np.bincount(nbrs, np.concatenate([m * w for m, (_, w) in zip(mu, edges)]),
                          minlength=n)
@@ -419,22 +391,10 @@ def minimize_weights(e: np.ndarray, alpha: float, beta: float) -> GraphWeights:
     return GraphWeights(project_to_simplex(v))
 
 
-def offline_objective(pool: GraphPool, F: np.ndarray, Y, mu: GraphWeights,
-                      alpha: float, beta: float) -> float:
-    """Joint objective: squared relevance misfit + weighted roughness + ||mu||^2 term.
-
-    ``F`` and ``Y`` are float arrays of one shape, as offline_f_update takes
-    and returns them; shapes that differ raise ValueError.
-    """
-    Y = np.asarray(Y, dtype=np.float64)
-    if np.shape(F) != Y.shape:
-        raise ValueError(f"scores have shape {np.shape(F)}, the relevance has shape {Y.shape}")
-    return _objective(F - Y, smoothness_terms(pool, F), mu, alpha, beta)
-
-
 def _objective(resid: np.ndarray, e: np.ndarray, mu: GraphWeights,
                alpha: float, beta: float) -> float:
-    """``||resid||^2 + alpha e'mu + beta ||mu||^2``, the one form of the objective."""
+    """The joint objective ``||resid||^2 + alpha e'mu + beta ||mu||^2``: squared
+    relevance misfit, weighted roughness and the ``||mu||^2`` term."""
     return float(np.sum(resid * resid) + alpha * (e @ mu.mu) + beta * (mu.mu @ mu.mu))
 
 
@@ -525,16 +485,15 @@ def _frozen_factor(pool: GraphPool, mu: np.ndarray, alpha: float, ridge: float):
 def _rank_extended(pool: GraphPool, mu: np.ndarray, ds: Dataset, x0, alpha: float,
                    ridge: float, query_id: str) -> RankedList:
     """Rank with the pool's graphs weighted by ``mu``; graphs of weight 0 are skipped."""
-    _check_weight_count(mu, pool.graphs)
+    if len(mu) != pool.m:
+        raise ValueError(f"model has {len(mu)} graph weights but the pool has {pool.m} graphs")
     active = np.flatnonzero(mu)
     graphs = [pool.graphs[i] for i in active]
     selections = select_per_measure([g.spec for g in graphs],
                                     lambda spec: query_neighbors(ds, x0, spec))
     edges = [extend_graph(g, ds, x0, nbrs) for g, nbrs in zip(graphs, selections)]
     star = combine_laplacians(edges, mu[active], pool.n)
-    u = np.zeros(pool.n + 1)
-    u[0] = 1.0
-    f = grank_solve(star, u, u.copy(), alpha, ridge, frozen=_frozen_factor(pool, mu, alpha, ridge))
+    f = grank_solve(star, _frozen_factor(pool, mu, alpha, ridge), alpha, ridge)
     return make_ranked(query_id, f[1:], ds.ids)
 
 

@@ -1,10 +1,19 @@
-"""Small builders shared across test modules."""
+"""Small builders and oracles shared across test modules."""
 
 import numpy as np
 import scipy.sparse as sp
 
 from multigrank.dataset import Dataset, DomainRecord
-from multigrank.graphs import _closeness, _first_k, _sq_dist, edge_weight
+from multigrank.graphs import (
+    _closeness,
+    _first_k,
+    _sq_dist,
+    build_graph,
+    edge_weight,
+    extend_graph,
+    knn_neighbors,
+    query_neighbors,
+)
 
 
 def dataset_from_arrays(points, labels=None) -> Dataset:
@@ -31,6 +40,44 @@ def random_labels(rng, n, n_classes) -> list:
     if len(set(labels)) < 2:
         labels[0] = "g_extra"
     return labels
+
+
+def knn_graph(ds, spec):
+    """The spec's graph over the dataset, from its own ``knn_neighbors``."""
+    return build_graph(ds, spec, knn_neighbors(ds, spec))
+
+
+def query_edges(graph, ds, x0):
+    """The query's edges in one graph, from its own ``query_neighbors``."""
+    return extend_graph(graph, ds, x0, query_neighbors(ds, x0, graph.spec))
+
+
+def ranked_top_ids(ranked, k) -> tuple:
+    """Ids of the first k items of a ranking, best first."""
+    return tuple(ranked.item_ids[i] for i in ranked.order[:k])
+
+
+def trapezoid_auc(curve) -> float:
+    """Trapezoidal area under a ROC curve's points."""
+    return float(np.trapezoid(curve.tpr, curve.fpr))
+
+
+def selection_solve_oracle(L, u, y, alpha, ridge=0.0) -> np.ndarray:
+    """Dense solve of ``(diag(u + ridge) + alpha L) f = u * y``: the scores of
+    graph-regularized ranking with the entries marked by ``u`` known."""
+    L = L.toarray() if sp.issparse(L) else np.asarray(L, dtype=np.float64)
+    u = np.asarray(u, dtype=np.float64)
+    return np.linalg.solve(np.diag(u + ridge) + alpha * L, u * np.asarray(y, dtype=np.float64))
+
+
+def objective_oracle(pool, F, Y, mu, alpha, beta) -> float:
+    """The joint training objective from dense Laplacians of the pooled graphs:
+    ``||F - Y||^2 + alpha sum_m mu_m Tr(F' L_m F) + beta ||mu||^2``."""
+    F = np.asarray(F, dtype=np.float64).reshape(pool.n, -1)
+    Y = np.asarray(Y, dtype=np.float64).reshape(pool.n, -1)
+    rough = [np.trace(F.T @ laplacian_oracle(g.weights).toarray() @ F) for g in pool.graphs]
+    return float(np.sum((F - Y) ** 2) + alpha * (np.asarray(rough) @ mu.mu)
+                 + beta * (mu.mu @ mu.mu))
 
 
 def laplacian_oracle(W) -> sp.csr_matrix:

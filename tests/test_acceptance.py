@@ -12,8 +12,11 @@ from helpers import (
     dataset_from_arrays,
     dense_relevance,
     extended_laplacian_oracle,
+    knn_graph,
     laplacian_oracle,
+    query_edges,
     random_labels,
+    trapezoid_auc,
 )
 
 from multigrank import cli
@@ -24,12 +27,11 @@ from multigrank.dataset import (
     relevance_matrix,
     split_queries,
 )
-from multigrank.evaluation import auc, evaluate_queries, roc_curve
+from multigrank.evaluation import evaluate_queries, roc_curve
 from multigrank.graphs import (
     SCHEMES,
     GraphPool,
     GraphSpec,
-    build_graph,
     build_pool,
     default_spec_grid,
     median_pairwise_distance,
@@ -38,6 +40,7 @@ from multigrank.ranker import (
     GraphWeights,
     HyperParams,
     RankModel,
+    combine_laplacians,
     grank_online,
     grank_solve,
     make_ranked,
@@ -97,13 +100,6 @@ def test_criterion_2_solver_oracle_equivalence():
         laps = [laplacian_oracle(g.weights).toarray() for g in pool.graphs]
         L = sum(w * lap for w, lap in zip(mu, laps))
 
-        u = (rng.random(n) < 0.5).astype(float)
-        u[int(rng.integers(n))] = 1.0
-        y = rng.normal(size=n)
-        f = grank_solve(L, u, y, alpha, ridge=ridge)
-        oracle = np.linalg.inv(np.diag(u + ridge) + alpha * L) @ (u * y)
-        assert np.linalg.norm(f - oracle) / np.linalg.norm(oracle) <= 1e-8
-
         Y = dense_relevance(relevance_matrix(ds, 1))
         F = offline_f_update(pool, GraphWeights(mu), Y, alpha)
         oracle_f = np.linalg.inv(np.eye(n) + alpha * L) @ Y
@@ -121,6 +117,11 @@ def test_criterion_2_solver_oracle_equivalence():
             np.linalg.norm(ranked.scores - oracle_ext[1:]) / np.linalg.norm(oracle_ext[1:])
             <= 1e-8
         )
+        # the direct path, the database block held without its inverse
+        star = combine_laplacians([query_edges(g, ds, x0) for g in pool.graphs], mu, n)
+        K, _ = _database_system(pool, mu, alpha, ridge)
+        direct = grank_solve(star, (K, None), alpha, ridge)
+        assert np.linalg.norm(direct - oracle_ext) / np.linalg.norm(oracle_ext) <= 1e-8
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     _passed(2, f"50 instances vs dense-inverse oracle within 1e-8 in {elapsed:.2f}s")
@@ -227,7 +228,7 @@ def test_criterion_6_desk_scale_ranking_quality():
             for i, rec in enumerate(db.records)
         )
         adv_sigma = median_pairwise_distance(db.feature_matrix)
-        adversarial = build_graph(shuffled, GraphSpec("gaussian", 5, adv_sigma))
+        adversarial = knn_graph(shuffled, GraphSpec("gaussian", 5, adv_sigma))
         pool_adv = GraphPool(pool.graphs + (adversarial,), pool.fingerprint, pool.dim)
         model_adv = train_offline(pool_adv, relevance, params)
         assert model_adv.weights.mu[-1] < 1.0 / pool_adv.m
@@ -258,7 +259,7 @@ def test_criterion_7_auc_equals_pair_statistic():
         mask = np.zeros(n, dtype=bool)
         mask[rng.choice(n, size=int(rng.integers(1, n)), replace=False)] = True
         ids = tuple(f"x{i}" for i in range(n))
-        trapezoid = auc(roc_curve(make_ranked("q", scores, ids), mask))
+        trapezoid = trapezoid_auc(roc_curve(make_ranked("q", scores, ids), mask))
         assert abs(trapezoid - pair_count_auc(scores, mask)) <= 1e-12
 
     means = []
@@ -267,7 +268,7 @@ def test_criterion_7_auc_equals_pair_statistic():
         mask = np.zeros(40, dtype=bool)
         mask[:15] = True
         ids = tuple(f"x{i}" for i in range(40))
-        means.append(auc(roc_curve(make_ranked("q", scores, ids), mask)))
+        means.append(trapezoid_auc(roc_curve(make_ranked("q", scores, ids), mask)))
     assert 0.45 <= float(np.mean(means)) <= 0.55
     _passed(7, "trapezoid == pair statistic to 1e-12; random scores average near 0.5")
 

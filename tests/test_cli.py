@@ -351,16 +351,18 @@ class TestExitCodes:
             assert rc == 1
             assert f"error: {message}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value, shown", [(True, "True"), ("2.5", "'2.5'")])
-    def test_json_feature_not_a_number_exit_code(self, tmp_path, capsys, value, shown):
+    def test_json_dataset_exit_code(self, tmp_path, capsys):
+        # datasets are CSV only: a JSON file of well-formed records is refused
         db = tmp_path / "db.json"
         db.write_text(json.dumps([
             {"id": "a", "label": "x", "features": [1.0, 2.0]},
-            {"id": "b", "label": "y", "features": [value, 0.5]},
+            {"id": "b", "label": "y", "features": [0.0, 0.5]},
         ]))
         rc = cli.main(["pool", "--out", str(tmp_path), "--dataset", str(db)])
         assert rc == 1
-        assert f"error: feature {shown} is not a number at row 2" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "datasets are CSV" in err
+        assert not (tmp_path / "pool.json").exists()
 
 
 class TestConfigFile:

@@ -7,12 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import dataset_from_arrays
+from helpers import dataset_from_arrays, ranked_top_ids, trapezoid_auc
 
 import multigrank
 from multigrank.dataset import generate_synthetic, relevance_matrix, split_queries
 from multigrank.evaluation import (
-    auc,
     auc_from_scores,
     evaluate_queries,
     roc_curve,
@@ -39,7 +38,7 @@ def roc_oracle(ranked, mask):
     p = len(relevant)
     pts = []
     for k in range(n + 1):
-        top = set(ranked.top_ids(k))
+        top = set(ranked_top_ids(ranked, k))
         tp = len(top & relevant)
         pts.append((tp / p, (k - tp) / (n - p)))
     return pts
@@ -57,13 +56,13 @@ class TestRocCurve:
         ranked = ranking(IDS5, [5, 4, 3, 2, 1])
         curve = roc_curve(ranked, AB)
         assert np.any((curve.fpr == 0.0) & (curve.tpr == 1.0))
-        assert auc(curve) == 1.0
+        assert trapezoid_auc(curve) == 1.0
 
     def test_inverted_ranking(self):
         ranked = ranking(IDS5, [1, 2, 3, 4, 5])
         curve = roc_curve(ranked, AB)
         assert np.any((curve.fpr == 1.0) & (curve.tpr == 0.0))
-        assert auc(curve) == 0.0
+        assert trapezoid_auc(curve) == 0.0
 
     def test_matches_threshold_enumeration(self):
         rng = np.random.default_rng(1)
@@ -94,7 +93,7 @@ class TestRocCurve:
         assert np.isnan(curve.precision[0])
         assert curve.precision[1] == 1.0
         # top-3 is {a, c, d}: one of the two relevant, two of three false alarms
-        assert ranked.top_ids(3) == ("a", "c", "d")
+        assert ranked_top_ids(ranked, 3) == ("a", "c", "d")
         assert (curve.tpr[3], curve.fpr[3], curve.precision[3]) == (0.5, 2 / 3, 1 / 3)
 
     def test_degenerate_relevance(self):
@@ -130,7 +129,7 @@ class TestAuc:
             ids = tuple(f"x{i}" for i in range(n))
             scores = rng.normal(size=n)
             mask = random_mask(rng, n)
-            value = auc(roc_curve(ranking(ids, scores), mask))
+            value = trapezoid_auc(roc_curve(ranking(ids, scores), mask))
             assert abs(value - pair_count_auc(scores, mask)) <= 1e-12
 
     def test_rank_statistic_handles_ties(self):
@@ -152,8 +151,8 @@ class TestAuc:
         ids = tuple(f"x{i}" for i in range(12))
         scores = rng.normal(size=12)
         mask = np.isin(np.arange(12), rng.choice(12, size=5, replace=False))
-        base = auc(roc_curve(ranking(ids, scores), mask))
-        warped = auc(roc_curve(ranking(ids, np.exp(scores)), mask))
+        base = trapezoid_auc(roc_curve(ranking(ids, scores), mask))
+        warped = trapezoid_auc(roc_curve(ranking(ids, np.exp(scores)), mask))
         assert base == warped
 
 

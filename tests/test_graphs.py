@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 from helpers import (
     dataset_from_arrays,
     extend_graph_oracle,
+    knn_graph,
     laplacian_oracle,
     median_pairwise_distance_oracle,
+    query_edges,
     star_laplacian_dense,
 )
 
@@ -352,7 +354,7 @@ def quad_form_oracle(W, f):
 class TestBuildGraph:
     def test_two_nodes_flat_kernel(self):
         ds = dataset_from_arrays([[0.0], [1.0]])
-        g = build_graph(ds, GraphSpec("gaussian", 1, 1e12))
+        g = knn_graph(ds, GraphSpec("gaussian", 1, 1e12))
         assert np.array_equal(g.weights.toarray(), [[0.0, 1.0], [1.0, 0.0]])
         assert np.array_equal(laplacian_oracle(g.weights).toarray(), [[1.0, -1.0], [-1.0, 1.0]])
 
@@ -360,7 +362,7 @@ class TestBuildGraph:
     def test_invariants_on_random_data(self, scheme):
         rng = np.random.default_rng(11)
         X = rng.uniform(0.05, 1.0, size=(14, 5))
-        g = build_graph(dataset_from_arrays(X), spec_for(scheme, 4, sigma=0.8))
+        g = knn_graph(dataset_from_arrays(X), spec_for(scheme, 4, sigma=0.8))
         W = g.weights.toarray()
         assert np.array_equal(W, W.T)
         assert np.array_equal(np.diag(W), np.zeros(14))
@@ -374,7 +376,7 @@ class TestBuildGraph:
     def test_quadratic_form_matches_double_sum(self):
         rng = np.random.default_rng(2)
         X = rng.uniform(0.1, 1.0, size=(8, 3))
-        g = build_graph(dataset_from_arrays(X), spec_for("gaussian", 3, sigma=0.5))
+        g = knn_graph(dataset_from_arrays(X), spec_for("gaussian", 3, sigma=0.5))
         W = g.weights.toarray()
         L = laplacian_oracle(g.weights).toarray()
         for _ in range(5):
@@ -385,8 +387,10 @@ class TestBuildGraph:
         ds = dataset_from_arrays(np.arange(8.0)[:, None])
         spec = spec_for("gaussian", 3)
         nbrs = knn_neighbors(ds, spec)
+        scanned = np.array(neighbors_oracle(ds.feature_matrix, "gaussian", 3))
         assert np.array_equal(
-            build_graph(ds, spec, nbrs).weights.toarray(), build_graph(ds, spec).weights.toarray()
+            build_graph(ds, spec, nbrs).weights.toarray(),
+            build_graph(ds, spec, scanned).weights.toarray(),
         )
         with pytest.raises(ValueError, match="shape"):
             build_graph(ds, spec, nbrs[:, :2])
@@ -395,7 +399,7 @@ class TestBuildGraph:
         rng = np.random.default_rng(4)
         X = rng.uniform(0.1, 1.0, size=(12, 4))
         for scheme in SCHEMES:
-            g = build_graph(dataset_from_arrays(X), spec_for(scheme, 3))
+            g = knn_graph(dataset_from_arrays(X), spec_for(scheme, 3))
             L = laplacian_oracle(g.weights).toarray()
             for _ in range(200):
                 f = rng.normal(size=12)
@@ -451,7 +455,7 @@ class TestPool:
         specs = default_spec_grid(ds, SCHEMES, k_values, (0.5, 2.0))
         pool = build_pool(ds, specs)
         for spec, graph in zip(specs, pool.graphs):
-            alone = build_graph(ds, spec).weights
+            alone = knn_graph(ds, spec).weights
             assert graph.spec == spec
             assert (graph.weights != alone).nnz == 0
             assert np.array_equal(graph.weights.indices, alone.indices)
@@ -688,20 +692,20 @@ def test_load_pool_rejects_corrupt_file(tmp_path, corrupt, message):
 
 def query_star(graph, ds, x0):
     """The query's star in one graph, as ``combine_laplacians`` holds it."""
-    return combine_laplacians([extend_graph(graph, ds, x0)], np.ones(1), graph.n)
+    return combine_laplacians([query_edges(graph, ds, x0)], np.ones(1), graph.n)
 
 
 class TestExtend:
     def _setup(self):
         ds = generate_synthetic(2, 6, 3, 1.0, 8.0, 5)
-        g = build_graph(ds, spec_for("gaussian", 3, sigma=2.0))
+        g = knn_graph(ds, spec_for("gaussian", 3, sigma=2.0))
         return ds, g
 
     def test_duplicate_query_gets_unit_weight(self):
         ds, g = self._setup()
         target = 1  # database point x_1
         x0 = ds.records[target].features
-        nbrs, w = extend_graph(g, ds, x0)
+        nbrs, w = query_edges(g, ds, x0)
         assert w[nbrs.tolist().index(target)] == 1.0
         W = extend_graph_oracle(g, ds, x0).toarray()
         assert W[0, target + 1] == 1.0 and W[target + 1, 0] == 1.0
@@ -735,15 +739,15 @@ class TestExtend:
     def test_dimension_mismatch(self):
         ds, g = self._setup()
         with pytest.raises(ValueError, match="dimension"):
-            extend_graph(g, ds, np.ones(5))
+            extend_graph(g, ds, np.ones(5), np.arange(3))
 
     def test_query_neighbors_break_ties_by_index(self):
         # the query's three nearest points are copies of 3.0; the next four
         # tie at 1.0, so k=5 takes their two lowest indices
         X = np.array([[3.0], [1.0], [0.0], [1.0], [3.0], [1.0], [3.0], [1.0]])
         ds = dataset_from_arrays(X)
-        g = build_graph(ds, spec_for("gaussian", 5, sigma=2.0))
-        nbrs, _ = extend_graph(g, ds, np.array([2.4]))
+        g = knn_graph(ds, spec_for("gaussian", 5, sigma=2.0))
+        nbrs, _ = query_edges(g, ds, np.array([2.4]))
         assert sorted(nbrs) == [0, 1, 3, 4, 6]
 
     @given(data=st.data())
@@ -769,7 +773,7 @@ class TestExtend:
             assert own.tolist() == np.argsort(keys, kind="stable")[: spec.k].tolist()
             no_edges = np.empty(0, dtype=np.int64)
             graph = BaseGraph(spec, ds.n, no_edges, no_edges, np.empty(0))
-            for a, b in zip(extend_graph(graph, ds, x0, nbrs), extend_graph(graph, ds, x0)):
+            for a, b in zip(extend_graph(graph, ds, x0, nbrs), query_edges(graph, ds, x0)):
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
@@ -798,7 +802,7 @@ def assert_query_row_matches(graph, ds, x0):
     star's neighbours, weights and degree bit for bit against the query row,
     the direct path's CSR assembly of the star likewise, and the database
     rows to rounding."""
-    nbrs, w = extend_graph(graph, ds, x0)
+    nbrs, w = query_edges(graph, ds, x0)
     oracle = extend_graph_oracle(graph, ds, x0)
     row = oracle.getrow(0)
     assert np.array_equal(nbrs + 1, row.indices) and w.tobytes() == row.data.tobytes()

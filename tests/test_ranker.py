@@ -17,8 +17,13 @@ from helpers import (
     dataset_from_arrays,
     dense_relevance,
     extended_laplacian_oracle,
+    knn_graph,
     laplacian_oracle,
+    objective_oracle,
+    query_edges,
     random_labels,
+    ranked_top_ids,
+    selection_solve_oracle,
 )
 
 import multigrank
@@ -33,9 +38,7 @@ from multigrank.graphs import (
     BaseGraph,
     GraphPool,
     GraphSpec,
-    build_graph,
     build_pool,
-    extend_graph,
     load_pool,
     save_pool,
 )
@@ -51,7 +54,6 @@ from multigrank.ranker import (
     make_ranked,
     minimize_weights,
     offline_f_update,
-    offline_objective,
     rank_online,
     rank_pairwise_baseline,
     save_model,
@@ -59,7 +61,7 @@ from multigrank.ranker import (
     train_offline,
     write_ranked_tsv,
 )
-from multigrank.ranker import _database_system, _frozen_factor
+from multigrank.ranker import QueryStar, _database_system, _frozen_factor
 
 
 def small_pool(seed=0, n_classes=2, per_class=5, dim=3, m_specs=None):
@@ -69,50 +71,56 @@ def small_pool(seed=0, n_classes=2, per_class=5, dim=3, m_specs=None):
 
 
 class TestGrankSolve:
-    def test_alpha_zero_identity_selection(self):
-        L = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        y = np.array([0.3, -0.7])
-        f = grank_solve(L, np.ones(2), y, alpha=0.0)
-        assert np.array_equal(f, y)
+    """The online solve on the direct path: a query's star plus a frozen
+    database block held without its inverse."""
 
     def test_two_node_hand_solve(self):
-        # W12=1, U=diag(1,0), y=(1,0), alpha=1: [[2,-1],[-1,1]] f = (1,0)
-        L = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        f = grank_solve(L, np.array([1.0, 0.0]), np.array([1.0, 0.0]), alpha=1.0)
+        # one database node joined to the query by W = 1, alpha = 1:
+        # [[2, -1], [-1, 1]] f = (1, 0)
+        star = QueryStar(np.array([0]), np.array([1.0]), 1.0, 1)
+        f = grank_solve(star, (sp.csr_matrix((1, 1)), None), 1.0, 0.0)
         assert np.allclose(f, [1.0, 1.0], atol=1e-12)
 
     def test_matches_dense_inverse(self):
+        # the inverse path, and the direct path without the inverse
         rng = np.random.default_rng(0)
         ds = dataset_from_arrays(rng.uniform(0.1, 1, size=(6, 3)))
-        L = laplacian_oracle(build_graph(ds, GraphSpec("gaussian", 2, 1.0)).weights).toarray()
-        u = np.array([1.0, 0, 1, 0, 0, 1])
-        y = rng.normal(size=6)
-        alpha = 0.7
-        f = grank_solve(L, u, y, alpha)
-        oracle = np.linalg.inv(np.diag(u) + alpha * L) @ (u * y)
-        assert np.linalg.norm(f - oracle) / np.linalg.norm(oracle) <= 1e-8
+        pool = build_pool(ds, [GraphSpec("gaussian", 2, 1.0)])
+        x0 = rng.uniform(0.1, 1, size=3)
+        star = combine_laplacians([query_edges(pool.graphs[0], ds, x0)], np.ones(1), ds.n)
+        alpha, ridge = 0.7, 1e-6
+        L = extended_laplacian_oracle(pool.graphs, np.ones(1), ds, x0)
+        e0 = np.eye(ds.n + 1)[0]
+        oracle = np.linalg.inv(np.diag(e0 + ridge) + alpha * L) @ e0
+        K, inv = _frozen_factor(pool, np.ones(1), alpha, ridge)
+        assert inv is not None
+        for frozen in ((K, inv), (K, None)):
+            f = grank_solve(star, frozen, alpha, ridge)
+            assert np.linalg.norm(f - oracle) / np.linalg.norm(oracle) <= 1e-8
 
     def test_singular_names_remedy(self):
-        # two exact 2-node components; query mass only in the first
-        W = np.zeros((4, 4))
-        W[0, 1] = W[1, 0] = 1.0
-        W[2, 3] = W[3, 2] = 1.0
-        L = np.diag(W.sum(1)) - W
-        u = np.array([1.0, 0, 0, 0])
+        # two exact 2-node components, the query and database node 0, and
+        # database nodes 1 and 2: the query reaches only the first
+        star = QueryStar(np.array([0]), np.array([1.0]), 1.0, 3)
+        L_db = sp.csr_matrix(np.array([[0.0, 0, 0], [0, 1, -1], [0, -1, 1]]))
         with pytest.raises(SingularSystemError, match="ridge"):
-            grank_solve(L, u, u.copy(), alpha=1.0, ridge=0.0)
-        f = grank_solve(L, u, u.copy(), alpha=1.0, ridge=1e-8)
+            grank_solve(star, (L_db, None), 1.0, 0.0)
+        f = grank_solve(star, ((L_db + 1e-8 * sp.eye(3)).tocsr(), None), 1.0, 1e-8)
         assert np.allclose(f[:2], 1.0, atol=1e-6) and np.allclose(f[2:], 0.0)
 
     def test_residual_contract(self):
         rng = np.random.default_rng(5)
         ds = dataset_from_arrays(rng.uniform(0.1, 1, size=(9, 3)))
-        L = laplacian_oracle(build_graph(ds, GraphSpec("gaussian", 3, 1.0)).weights)
-        u = np.ones(9)
-        y = rng.normal(size=9)
-        f = grank_solve(L, u, y, alpha=2.0)
-        A = np.eye(9) + 2.0 * L.toarray()
-        assert np.linalg.norm(A @ f - y) / np.linalg.norm(y) <= 1e-8
+        pool = build_pool(ds, [GraphSpec("gaussian", 3, 1.0)])
+        x0 = rng.uniform(0.1, 1, size=3)
+        star = combine_laplacians([query_edges(pool.graphs[0], ds, x0)], np.ones(1), ds.n)
+        alpha, ridge = 2.0, 1e-8
+        K, _ = _database_system(pool, np.ones(1), alpha, ridge)
+        f = grank_solve(star, (K, None), alpha, ridge)
+        L = extended_laplacian_oracle(pool.graphs, np.ones(1), ds, x0)
+        e0 = np.eye(ds.n + 1)[0]
+        A = np.diag(e0 + ridge) + alpha * L
+        assert np.linalg.norm(A @ f - e0) / np.linalg.norm(e0) <= 1e-8
 
 
 class TestFUpdate:
@@ -130,7 +138,7 @@ class TestFUpdate:
         L = laplacian_oracle(pool.graphs[0].weights)
         u = np.ones(ds.n)
         for q in range(ds.n):
-            col = grank_solve(L, u, Y[:, q], alpha=0.9)
+            col = selection_solve_oracle(L, u, Y[:, q], alpha=0.9)
             assert np.allclose(F[:, q], col, atol=1e-10)
 
     def test_matches_dense_inverse(self):
@@ -294,7 +302,7 @@ class TestTrainOffline:
         )
         spec = GraphSpec("gaussian", 3, 2.0)
         pool = GraphPool(
-            graphs=(build_graph(ds, spec), build_graph(shuffled, spec)),
+            graphs=(knn_graph(ds, spec), knn_graph(shuffled, spec)),
             fingerprint="test",
             dim=ds.dim,
         )
@@ -323,17 +331,8 @@ class TestTrainOffline:
         F = offline_f_update(pool, model.weights, Y, params.alpha)
         # trace entries are objective values; recomputing at the final weights
         # reproduces the last entry once F is re-solved for those weights
-        obj = offline_objective(pool, F, Y, model.weights, params.alpha, params.beta)
+        obj = objective_oracle(pool, F, Y, model.weights, params.alpha, params.beta)
         assert obj <= model.objective_trace[-1] + 1e-9
-
-    @pytest.mark.parametrize("cols", [np.s_[:, 0], np.s_[:, :1]], ids=["vector", "column"])
-    def test_objective_of_mismatched_shapes_raises(self, cols):
-        ds, pool = small_pool()
-        mu = GraphWeights(np.array([0.5, 0.5]))
-        Y = dense_relevance(relevance_matrix(ds, 1))
-        F = offline_f_update(pool, mu, Y, 1.0)
-        with pytest.raises(ValueError, match=r"scores have shape \(10, 10\).*shape \(10,"):
-            offline_objective(pool, F, Y[cols], mu, 1.0, 1.0)
 
     def test_ill_conditioned_training_names_the_bound(self):
         # dot-product weights of ~1e7 with alpha = 100 spread the spectrum of
@@ -474,7 +473,7 @@ class TestRankOnline:
         model = train_offline(pool, relevance_matrix(ds, 1), HyperParams(max_iters=5))
         query = ds.records[3]
         ranked = rank_online(model, pool, ds, query.features, query_id=query.id)
-        top = next(rec for rec in ds.records if rec.id == ranked.top_ids(1)[0])
+        top = next(rec for rec in ds.records if rec.id == ranked_top_ids(ranked, 1)[0])
         assert top.label == query.label
 
     def test_vanishing_alpha_zeroes_database_scores(self):
@@ -650,10 +649,10 @@ class TestFrozenFactor:
         u = query_selector(one.n)
         K, inv = _frozen_factor(pool, mu.mu, 0.7, 0.0)
         assert inv is None
-        star = combine_laplacians([extend_graph(g, one, x0) for g in pool.graphs], mu.mu, one.n)
-        direct = grank_solve(star, u, u.copy(), alpha=0.7, frozen=(K, None))
+        star = combine_laplacians([query_edges(g, one, x0) for g in pool.graphs], mu.mu, one.n)
+        direct = grank_solve(star, (K, None), 0.7, 0.0)
         assert np.array_equal(rank_online(model, pool, one, x0).scores, direct[1:])
-        oracle = grank_solve(extended_laplacian(pool, mu.mu, one, x0), u, u.copy(), alpha=0.7)
+        oracle = selection_solve_oracle(extended_laplacian(pool, mu.mu, one, x0), u, u, 0.7)
         assert np.linalg.norm(direct - oracle) / np.linalg.norm(oracle) <= 1e-8
 
     def test_cache_follows_weights_and_params(self, monkeypatch):
@@ -817,9 +816,9 @@ def test_uniform_weights_select_once_per_measure(monkeypatch):
                       pool.fingerprint, [])
     x0 = ds.records[4].features + 0.1
     # each graph selecting its own neighbours gives the same scores
-    mu, u = model.weights.mu, query_selector(ds.n)
-    star = combine_laplacians([extend_graph(g, ds, x0) for g in pool.graphs], mu, ds.n)
-    alone = grank_solve(star, u, u.copy(), 1.0, 1e-8, frozen=_frozen_factor(pool, mu, 1.0, 1e-8))
+    mu = model.weights.mu
+    star = combine_laplacians([query_edges(g, ds, x0) for g in pool.graphs], mu, ds.n)
+    alone = grank_solve(star, _frozen_factor(pool, mu, 1.0, 1e-8), 1.0, 1e-8)
     widths = []
     select = ranker.query_neighbors
 
@@ -931,12 +930,9 @@ class TestConjugateGradientPath:
         # the frozen block without its inverse, as ridge 0 and large N give it
         K, _ = _database_system(pool, mu, 0.8, ridge)
         for x0 in (ds.records[3].features, ds.records[-1].features + 0.2):
-            L = extended_laplacian(pool, mu, ds, x0)
-            f = grank_solve(L, u, u.copy(), alpha=0.8, ridge=ridge, frozen=None)
-            oracle = np.linalg.inv(np.diag(u + ridge) + 0.8 * L.toarray()) @ u
-            assert np.linalg.norm(f - oracle) / np.linalg.norm(oracle) <= 1e-8
-            star = combine_laplacians([extend_graph(g, ds, x0) for g in pool.graphs], mu, ds.n)
-            f = grank_solve(star, u, u.copy(), alpha=0.8, ridge=ridge, frozen=(K, None))
+            oracle = selection_solve_oracle(extended_laplacian(pool, mu, ds, x0), u, u, 0.8, ridge)
+            star = combine_laplacians([query_edges(g, ds, x0) for g in pool.graphs], mu, ds.n)
+            f = grank_solve(star, (K, None), 0.8, ridge)
             assert np.linalg.norm(f - oracle) / np.linalg.norm(oracle) <= 1e-8
 
     def test_chain_graph_within_the_step_cap(self, monkeypatch):
@@ -944,7 +940,7 @@ class TestConjugateGradientPath:
         # at ridge 0 the exact scores are all ones, since L 1 = 0
         import multigrank.ranker as ranker
 
-        n = 400 + 1  # the query and a database of 400
+        n = 400 + 1  # the query, joined to one end of a path database of 400
         steps = []
         solve = ranker._block_cg
 
@@ -954,10 +950,10 @@ class TestConjugateGradientPath:
             return X, taken
 
         monkeypatch.setattr(ranker, "_block_cg", counted)
-        W = sp.diags([np.ones(n - 1), np.ones(n - 1)], [-1, 1], format="csr")
-        L = sp.diags(np.asarray(W.sum(axis=1)).ravel()) - W
-        u = query_selector(n - 1)
-        f = grank_solve(L, u, u.copy(), alpha=1.0, ridge=0.0)
+        W = sp.diags([np.ones(n - 2), np.ones(n - 2)], [-1, 1], format="csr")
+        L_db = (sp.diags(np.asarray(W.sum(axis=1)).ravel()) - W).tocsr()
+        star = QueryStar(np.array([0]), np.array([1.0]), 1.0, n - 1)
+        f = grank_solve(star, (L_db, None), 1.0, 0.0)
         assert len(steps) == 1 and steps[0] < 20 * n
         assert np.abs(f - 1.0).max() <= 1e-10
 
@@ -966,7 +962,7 @@ class TestPairwiseBaseline:
     def test_duplicate_query_ranks_first(self):
         ds = dataset_from_arrays([[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
         ranked = rank_pairwise_baseline(ds, np.array([0.5, 0.5]))
-        assert ranked.top_ids(1) == ("r1",)
+        assert ranked_top_ids(ranked, 1) == ("r1",)
         assert ranked.scores[1] == pytest.approx(1.0)
 
     def test_orthogonal_query_gives_zero_scores_index_order(self):
