@@ -24,7 +24,7 @@ _ORIGIN = {
         "specs": ("SCHEMES", "GraphSpec", "HyperParams"),
         "graphs": (
             "BaseGraph", "GraphPool", "build_graph", "build_pool", "default_spec_grid",
-            "edge_weight", "extend_graph", "knn_neighbors", "load_pool", "save_pool",
+            "edge_weight", "extend_graph", "knn_edges", "knn_neighbors", "load_pool", "save_pool",
         ),
         "ranker": (
             "GraphWeights", "RankedList", "RankModel", "SingularSystemError",

@@ -207,12 +207,16 @@ def load_dataset(path) -> Dataset:
 
     Row order is preserved; all dataset invariants are validated.
     """
+    return Dataset.from_records(_load_csv(_csv_path(path)))
+
+
+def _csv_path(path) -> Path:
     path = Path(path)
     if path.suffix.lower() != ".csv":
         raise ValueError(
             f"unknown dataset format {path.suffix!r} of {path}: datasets are CSV files (.csv)"
         )
-    return Dataset.from_records(_load_csv(path))
+    return path
 
 
 def _load_csv(path: Path) -> list[DomainRecord]:
@@ -237,8 +241,9 @@ def _load_csv(path: Path) -> list[DomainRecord]:
 
 
 def save_dataset(ds: Dataset, path) -> None:
-    """Write a dataset as CSV; inverse of load_dataset."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    """Write a dataset as CSV; inverse of load_dataset.  A path without the
+    ``.csv`` suffix raises ValueError before any file is opened."""
+    with open(_csv_path(path), "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["id", "label"] + [f"f{i}" for i in range(1, ds.dim + 1)])
         for rec in ds.records:

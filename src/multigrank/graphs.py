@@ -3,9 +3,16 @@
 Each graph is its edge list: every edge once as i < j, in row-major order,
 with its weight; the symmetric weight matrix W it stands for has a zero
 diagonal.  Edges follow the union rule: (i, j) is an edge iff j is among i's
-k nearest or vice versa.  Negative similarities (possible for dot_product and
-cosine) are clamped to 0 at assembly time so every Laplacian D - W formed
-from the graphs stays positive semi-definite.
+k nearest or vice versa.  Negative similarities (possible for dot_product,
+cosine and tanimoto) are clamped to 0 at assembly time so every Laplacian
+D - W formed from the graphs stays positive semi-definite.
+
+A pool selects neighbours once per selection measure, at its widest k, and
+forms that selection's union edges once with each edge's exact selection key
+(``knn_edges``).  Each graph takes its share of those edges and weighs them
+from the keys, the same numbers ``edge_weight`` gives for the pairs; only
+dot_product, which selects by squared distance, weighs its edges from the
+features again.
 """
 
 from __future__ import annotations
@@ -127,6 +134,10 @@ def _ratio(num, den) -> np.ndarray:
     return np.divide(num, den, out=out, where=den != 0)
 
 
+def _gaussian(sq_dist, sigma: float) -> np.ndarray:
+    return np.exp(-sq_dist / (2.0 * sigma**2))
+
+
 def _require_nonnegative(*xs) -> None:
     if any((x < 0).any() for x in xs):
         raise ValueError("jaccard requires nonnegative features")
@@ -149,7 +160,7 @@ def edge_weight(x_i, x_j, spec: GraphSpec):
     if x_i.shape[-1:] != x_j.shape[-1:]:
         raise ValueError("edge_weight: vectors have different dimensions")
     if spec.scheme == "gaussian":
-        w = np.exp(-_sq_dist(x_i, x_j) / (2.0 * spec.sigma**2))
+        w = _gaussian(_sq_dist(x_i, x_j), spec.sigma)
     elif spec.scheme == "jaccard":
         _require_nonnegative(x_i, x_j)
         w = _ratio(np.minimum(x_i, x_j).sum(axis=-1), np.maximum(x_i, x_j).sum(axis=-1))
@@ -190,13 +201,14 @@ def _candidates(keys: np.ndarray, k: int, slack) -> tuple[np.ndarray, np.ndarray
     return np.divmod(np.flatnonzero(~(keys > kth + slack)), keys.shape[1])
 
 
-def _ordered_first_k(rows, cols, keys, n_rows: int, k: int) -> np.ndarray:
-    """The first k columns of each row by (key, column), from row-major
-    candidates that hold at least those k per row.  NaN keys sort last."""
+def _ordered_first_k(rows, cols, keys, n_rows: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first k columns of each row by (key, column), and their keys, from
+    row-major candidates that hold at least those k per row.  NaN keys sort
+    last."""
     # cols ascend within each row, and lexsort is stable: (row, key, column)
     order = np.lexsort((keys, rows))
-    starts = np.searchsorted(rows, np.arange(n_rows))
-    return cols[order][starts[:, None] + np.arange(k)]
+    first = order[np.searchsorted(rows, np.arange(n_rows))[:, None] + np.arange(k)]
+    return cols[first], keys[first]
 
 
 def _first_k(keys: np.ndarray, k: int) -> np.ndarray:
@@ -207,7 +219,7 @@ def _first_k(keys: np.ndarray, k: int) -> np.ndarray:
     sorted.
     """
     rows, cols = _candidates(keys, k, 0.0)
-    return _ordered_first_k(rows, cols, keys[rows, cols], keys.shape[0], k)
+    return _ordered_first_k(rows, cols, keys[rows, cols], keys.shape[0], k)[0]
 
 
 def _filter_margin(sizes: np.ndarray, d: int, by_norm: bool, single: bool = False) -> np.ndarray:
@@ -330,11 +342,14 @@ def _filter(X: np.ndarray, sq_norms: np.ndarray, measure: str):
     return keys, margin
 
 
-def knn_neighbors(ds: Dataset, spec: GraphSpec) -> np.ndarray:
-    """Indices of each node's k nearest neighbors under the spec's measure.
+def knn_neighbors(ds: Dataset, spec: GraphSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Each node's k nearest neighbors under the spec's measure, and their keys.
 
-    Returns an (N, k) array, closest first, self excluded, ties broken by
-    lower node index, so the first k' < k columns are the answer for k'.
+    Returns two (N, k) arrays: the neighbors' indices, closest first, self
+    excluded, ties broken by lower node index, so the first k' < k columns
+    are the answer for k'; and each neighbor's selection key, the negated
+    ``_closeness`` of the pair (node, neighbor) from the exact rescoring
+    below, from which ``build_graph`` weighs the pair's edge.
 
     Row blocks are filtered and refined; no N x N array is formed.  A cheap
     filter key (``_filter``) is within a proven margin m of the exact
@@ -359,6 +374,7 @@ def knn_neighbors(ds: Dataset, spec: GraphSpec) -> np.ndarray:
     step = max(1, _KEY_ELEMS // n)
     chunk = max(1, _PAIR_ELEMS // max(d, 1))
     out = np.empty((n, spec.k), dtype=np.intp)
+    out_keys = np.empty((n, spec.k))
     for start in range(0, n, step):
         rows = np.arange(start, min(start + step, n))
         # outside the bounded range filter keys may overflow; the margin is
@@ -373,33 +389,85 @@ def knn_neighbors(ds: Dataset, spec: GraphSpec) -> np.ndarray:
             part = slice(lo, lo + chunk)
             keys[part] = -_closeness(X[pair_rows[part]], X[cols[part]], spec)
         keys[pair_rows == cols] = np.inf
-        out[rows] = _ordered_first_k(block_rows, cols, keys, len(rows), spec.k)
-    return out
+        out[rows], out_keys[rows] = _ordered_first_k(block_rows, cols, keys, len(rows), spec.k)
+    return out, out_keys
 
 
-def build_graph(ds: Dataset, spec: GraphSpec, neighbors) -> BaseGraph:
+@dataclass(frozen=True, eq=False)
+class KnnEdges:
+    """The union edges of the kNN selection of ``spec``, as ``knn_edges``
+    forms them.
+
+    Edge e joins ``i[e] < j[e]`` (int64, sorted row-major, each once).
+    ``key[e]`` is its selection key, the negated ``_closeness`` that
+    ``knn_neighbors`` computed for the pair, and ``rank[e]`` the first
+    neighbour position at which either end selected the other.  The first k
+    columns of a selection are the selection at k, so the union edges at any
+    k up to ``spec.k`` under the same measure are those of rank < k.
+    """
+
+    spec: GraphSpec
+    n: int
+    i: np.ndarray
+    j: np.ndarray
+    key: np.ndarray
+    rank: np.ndarray
+
+
+def knn_edges(ds: Dataset, spec: GraphSpec) -> KnnEdges:
+    """The union edges of the spec's kNN selection (``knn_neighbors``), each
+    once with its selection key and rank.
+
+    A pair selected from both ends has two entries; its key is read from
+    either, as ``_closeness(a, b)`` equals ``_closeness(b, a)`` bit for bit:
+    ``a - b`` negates ``b - a`` exactly, and products and two-term sums
+    commute.
+    """
+    neighbors, keys = knn_neighbors(ds, spec)
+    n, k = neighbors.shape
+    rows = np.repeat(np.arange(n, dtype=np.int64), k)
+    cols = neighbors.ravel()
+    pairs = np.minimum(rows, cols) * n + np.maximum(rows, cols)
+    # by pair, then by neighbour position: each pair's first entry holds its rank
+    order = np.argsort(pairs * k + np.tile(np.arange(k), n))
+    sorted_pairs = pairs[order]
+    first = np.flatnonzero(np.concatenate(([True], sorted_pairs[1:] != sorted_pairs[:-1])))
+    i, j = np.divmod(sorted_pairs[first], n)
+    entries = order[first]
+    return KnnEdges(spec, n, i, j, keys.ravel()[entries], entries % k)
+
+
+def build_graph(ds: Dataset, spec: GraphSpec, edges: KnnEdges) -> BaseGraph:
     """Realize a spec against a dataset: the union-symmetrized kNN edges.
 
-    ``neighbors`` is the spec's (N, k) neighbor array, as ``knn_neighbors``
-    selects it and ``build_pool`` slices it from a shared selection.
+    ``edges`` are the union edges of a selection under the spec's measure at
+    k >= ``spec.k``, as ``knn_edges`` forms them and ``build_pool`` shares
+    them; the spec takes those of rank < k.  The weights come from the
+    selection's keys: gaussian ``exp(-key / 2 sigma^2)`` on the squared
+    distance, and cosine, jaccard and tanimoto ``-key``, as their closeness
+    is their weight.  dot_product selects by squared distance, so its weights
+    are ``edge_weight`` over the gathered rows.  Negative weights clamp to 0.
     """
-    X = ds.feature_matrix
-    n = X.shape[0]
-    if np.shape(neighbors) != (n, spec.k):
+    if (edges.n, _measure(edges.spec)) != (ds.n, _measure(spec)) or edges.spec.k < spec.k:
         raise ValueError(
-            f"neighbors have shape {np.shape(neighbors)}, expected {(n, spec.k)}"
+            f"edges of a {edges.spec.scheme} selection at k={edges.spec.k} over {edges.n} "
+            f"nodes do not hold {spec.scheme} k={spec.k} over {ds.n} nodes"
         )
-    rows = np.repeat(np.arange(n, dtype=np.int64), spec.k)
-    cols = np.ravel(neighbors)
-    # each union edge once, as i < j: weighing it once keeps W exactly symmetric
-    i, j = np.divmod(np.unique(np.minimum(rows, cols) * n + np.maximum(rows, cols)), n)
-    return BaseGraph(spec, n, i, j, np.maximum(edge_weight(X[i], X[j], spec), 0.0))
+    share = edges.rank < spec.k
+    i, j = edges.i[share], edges.j[share]
+    if spec.scheme == "dot_product":
+        X = ds.feature_matrix
+        w = edge_weight(X[i], X[j], spec)
+    elif spec.scheme == "gaussian":
+        w = _gaussian(edges.key[share], spec.sigma)
+    else:
+        w = -edges.key[share]
+    return BaseGraph(spec, edges.n, i, j, np.maximum(w, 0.0))
 
 
-def select_per_measure(specs, select):
-    """Each spec's neighbours, in spec order (a generator): ``select(spec)``,
-    closest first along the last axis, runs once per measure at its largest
-    k, and each spec takes the first k, its own selection as ties go by index."""
+def _share_per_measure(specs, select):
+    """Each spec with its measure's selection, in spec order (a generator):
+    ``select(spec)`` runs once per measure, for its spec of largest k."""
     specs = list(specs)
     widest = {}
     for spec in specs:
@@ -411,20 +479,30 @@ def select_per_measure(specs, select):
         measure = _measure(spec)
         if measure not in selected:
             selected[measure] = select(widest[measure])
-        yield selected[measure][..., : spec.k]
+        yield spec, selected[measure]
+
+
+def select_per_measure(specs, select):
+    """Each spec's neighbours, in spec order (a generator): ``select(spec)``,
+    closest first along the last axis, runs once per measure at its largest
+    k, and each spec takes the first k, its own selection as ties go by index."""
+    return (selected[..., : spec.k] for spec, selected in _share_per_measure(specs, select))
 
 
 def build_pool(ds: Dataset, specs) -> GraphPool:
     """Build all candidate graphs, in spec order, bound to the dataset.
 
     Neighbors are selected once per selection measure, at the largest k any
-    spec of that measure asks for; each spec takes its first k columns.
+    spec of that measure asks for, and their union edges formed once with
+    their keys (``knn_edges``); each spec takes its share of them and weighs
+    it from those keys (``build_graph``), without a second pass over the
+    features but for dot_product.
     """
     specs = list(specs)
     if not specs:
         raise ValueError("cannot build a pool from an empty spec list")
-    selections = select_per_measure(specs, lambda spec: knn_neighbors(ds, spec))
-    graphs = tuple(build_graph(ds, spec, nbrs) for spec, nbrs in zip(specs, selections))
+    shared = _share_per_measure(specs, lambda spec: knn_edges(ds, spec))
+    graphs = tuple(build_graph(ds, spec, edges) for spec, edges in shared)
     return GraphPool(graphs=graphs, fingerprint=dataset_fingerprint(ds), dim=ds.dim)
 
 

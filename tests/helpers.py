@@ -5,12 +5,14 @@ import scipy.sparse as sp
 
 from multigrank.dataset import Dataset, DomainRecord
 from multigrank.graphs import (
+    BaseGraph,
     _closeness,
     _first_k,
     _sq_dist,
     build_graph,
     edge_weight,
     extend_graph,
+    knn_edges,
     knn_neighbors,
     query_neighbors,
 )
@@ -43,8 +45,23 @@ def random_labels(rng, n, n_classes) -> list:
 
 
 def knn_graph(ds, spec):
-    """The spec's graph over the dataset, from its own ``knn_neighbors``."""
-    return build_graph(ds, spec, knn_neighbors(ds, spec))
+    """The spec's graph over the dataset, from its own ``knn_edges``."""
+    return build_graph(ds, spec, knn_edges(ds, spec))
+
+
+def knn_graph_oracle(ds, spec, neighbors=None) -> BaseGraph:
+    """The spec's graph assembled on its own: the union of its (N, k)
+    neighbour array (by default its own ``knn_neighbors``), each edge once
+    as i < j, weighed by ``edge_weight`` over the gathered rows and clamped
+    at 0."""
+    X = ds.feature_matrix
+    n = X.shape[0]
+    if neighbors is None:
+        neighbors = knn_neighbors(ds, spec)[0]
+    rows = np.repeat(np.arange(n, dtype=np.int64), spec.k)
+    cols = np.ravel(neighbors)
+    i, j = np.divmod(np.unique(np.minimum(rows, cols) * n + np.maximum(rows, cols)), n)
+    return BaseGraph(spec, n, i, j, np.maximum(edge_weight(X[i], X[j], spec), 0.0))
 
 
 def query_edges(graph, ds, x0):

@@ -97,6 +97,23 @@ def test_round_trip_identity(tmp_path, fmt):
     assert dataset_fingerprint(back) == dataset_fingerprint(ds)
 
 
+def test_save_refuses_what_load_refuses(tmp_path):
+    # a dataset saved under a suffix load_dataset rejects could not be read
+    # back: save raises load's error, before any file is opened
+    ds = generate_synthetic(2, 3, 4, 1.0, 2.0, 5)
+    path = tmp_path / "db.json"
+    with pytest.raises(ValueError) as saving:
+        save_dataset(ds, path)
+    assert not path.exists()
+    path.write_text("{}")
+    with pytest.raises(ValueError) as loading:
+        load_dataset(path)
+    assert str(saving.value) == str(loading.value)
+    assert "unknown dataset format '.json'" in str(saving.value)
+    save_dataset(ds, tmp_path / "db.CSV")
+    assert load_dataset(tmp_path / "db.CSV").ids == ds.ids
+
+
 def test_save_is_byte_stable(tmp_path):
     ds = generate_synthetic(2, 3, 4, 1.0, 2.0, 5)
     save_dataset(ds, tmp_path / "a.csv")

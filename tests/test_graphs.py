@@ -14,6 +14,7 @@ from helpers import (
     dataset_from_arrays,
     extend_graph_oracle,
     knn_graph,
+    knn_graph_oracle,
     laplacian_oracle,
     median_pairwise_distance_oracle,
     query_edges,
@@ -32,6 +33,7 @@ from multigrank.graphs import (
     default_spec_grid,
     edge_weight,
     extend_graph,
+    knn_edges,
     knn_neighbors,
     load_pool,
     median_pairwise_distance,
@@ -87,6 +89,14 @@ def neighbors_oracle(X, scheme, k, closeness=closeness_oracle):
     return out
 
 
+def assert_same_graph(graph, oracle):
+    """Equal spec, node count, and edge and weight bytes and dtypes."""
+    assert graph.spec == oracle.spec and graph.n == oracle.n
+    for name in ("i", "j", "w"):
+        got, want = getattr(graph, name), getattr(oracle, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
 def outcome(call):
     """The call's result, or the message of the ValueError it raised."""
     try:
@@ -95,15 +105,27 @@ def outcome(call):
         return str(exc)
 
 
+def default_golden_dataset():
+    """N=37, d=4: repeated rows and small-integer rows that tie."""
+    base = generate_synthetic(3, 8, 4, 1.0, 6.0, 0).feature_matrix
+    X = np.vstack([base, base[[0, 3, 3, 10, 17]], np.round(base[:8]) + 1.0])
+    return dataset_from_arrays(X, [f"c{i % 3}" for i in range(len(X))])
+
+
+def benchmark_golden_dataset():
+    """N=600, d=32: many row blocks per selection, real gaps between keys."""
+    return generate_synthetic(5, 120, 32, 1.0, 5.0, 0)
+
+
 class TestKnn:
     def test_collinear_points(self):
         ds = dataset_from_arrays([[0.0], [1.0], [10.0]])
-        nbrs = knn_neighbors(ds, spec_for("gaussian", 1))
+        nbrs, _ = knn_neighbors(ds, spec_for("gaussian", 1))
         assert nbrs.ravel().tolist() == [1, 0, 1]
 
     def test_duplicate_tie_breaks_to_lowest_index(self):
         ds = dataset_from_arrays([[5.0, 5.0], [1.0, 1.0], [1.0, 1.0], [1.0, 1.0]])
-        nbrs = knn_neighbors(ds, spec_for("gaussian", 1))
+        nbrs, _ = knn_neighbors(ds, spec_for("gaussian", 1))
         # node 3's duplicates are 1 and 2: the tie resolves to 1
         assert nbrs[3, 0] == 1
         assert nbrs[1, 0] == 2 and nbrs[2, 0] == 1
@@ -114,8 +136,13 @@ class TestKnn:
         X = rng.uniform(0.1, 1.0, size=(10, 4))
         # second input repeats rows, so ties must resolve to the lowest index
         for points in (X, X[[0, 1, 0, 2, 1, 0, 3, 4, 2, 5]]):
-            nbrs = knn_neighbors(dataset_from_arrays(points), spec_for(scheme, 3))
+            spec = spec_for(scheme, 3)
+            nbrs, keys = knn_neighbors(dataset_from_arrays(points), spec)
             assert nbrs.tolist() == neighbors_oracle(points, scheme, 3)
+            # each neighbour's key is its pair's negated closeness, in pair form
+            rows = np.repeat(np.arange(len(points)), 3)
+            pair_keys = -graphs._closeness(points[rows], points[nbrs.ravel()], spec)
+            assert keys.shape == nbrs.shape and keys.tobytes() == pair_keys.tobytes()
 
     def test_k_out_of_range(self):
         ds = dataset_from_arrays(np.eye(3))
@@ -137,7 +164,7 @@ class TestKnn:
         k_max = data.draw(st.integers(1, n - 1))
         ds = dataset_from_arrays(X)
         for scheme in SCHEMES:
-            nbrs = knn_neighbors(ds, spec_for(scheme, k_max))
+            nbrs, _ = knn_neighbors(ds, spec_for(scheme, k_max))
             oracle = neighbors_oracle(X, scheme, k_max)
             for k in range(1, k_max + 1):
                 assert nbrs[:, :k].tolist() == [r[:k] for r in oracle]
@@ -171,7 +198,7 @@ class TestKnn:
                 continue
             oracle = neighbors_oracle(X, scheme, n - 1, rounded_closeness)
             for k in range(1, n):
-                nbrs = knn_neighbors(ds, spec_for(scheme, k))
+                nbrs, _ = knn_neighbors(ds, spec_for(scheme, k))
                 assert nbrs.tolist() == [r[:k] for r in oracle], (scheme, k)
 
     @given(data=st.data())
@@ -201,7 +228,7 @@ class TestKnn:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for k in range(1, n):
-                nbrs = knn_neighbors(ds, spec_for("jaccard", k))
+                nbrs, _ = knn_neighbors(ds, spec_for("jaccard", k))
                 assert nbrs.tolist() == [r[:k] for r in oracle], k
 
     def test_zero_rows_score_zero_and_tie_by_index(self):
@@ -211,7 +238,7 @@ class TestKnn:
         X = np.array([[0.0, 0.0], [1.0, 2.0], [0.0, 0.0], [2.0, 1.0], [0.0, 0.0]])
         ds = dataset_from_arrays(X)
         for scheme in ("tanimoto", "jaccard"):
-            assert knn_neighbors(ds, spec_for(scheme, 4)).tolist() == [
+            assert knn_neighbors(ds, spec_for(scheme, 4))[0].tolist() == [
                 [1, 2, 3, 4], [3, 0, 2, 4], [0, 1, 3, 4], [1, 0, 2, 4], [0, 1, 2, 3]
             ]
             graph = build_pool(ds, [spec_for(scheme, 4)]).graphs[0]
@@ -221,7 +248,7 @@ class TestKnn:
         zeros = dataset_from_arrays(np.zeros((5, 3)))
         for scheme in ("gaussian", "dot_product", "tanimoto", "jaccard"):
             for k in range(1, 5):
-                assert knn_neighbors(zeros, spec_for(scheme, k)).tolist() == [
+                assert knn_neighbors(zeros, spec_for(scheme, k))[0].tolist() == [
                     [j for j in range(5) if j != i][:k] for i in range(5)
                 ]
 
@@ -238,6 +265,34 @@ class TestKnn:
             knn_neighbors(ds, spec_for(scheme, 1))
         with pytest.raises(ValueError, match=message):
             build_pool(ds, [spec_for("gaussian", 1), spec_for(scheme, 1)])
+
+
+class TestCloseness:
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    @given(data=st.data())
+    @settings(max_examples=50, deadline=None)
+    def test_symmetric_bit_for_bit(self, scheme, data):
+        # build_pool reads a pair selected from both ends by either end's key:
+        # the pair form must give both orders the same bits; rows repeat, and
+        # zero rows and zero features are common
+        dim = data.draw(st.integers(1, 12))
+        lo = 0.0 if scheme == "jaccard" else -1e100
+        entry = st.one_of(st.just(0.0), st.floats(max(lo, -10.0), 10.0), st.floats(lo, 1e100))
+        distinct = np.array(data.draw(
+            st.lists(st.lists(entry, min_size=dim, max_size=dim), min_size=1, max_size=5)))
+        if data.draw(st.booleans()):
+            distinct[0] = 0.0
+        if scheme == "cosine":
+            # cosine rejects rows whose squared norm is 0, or underflows to it
+            distinct[np.einsum("ij,ij->i", distinct, distinct) == 0, 0] = 1.0
+        n = data.draw(st.integers(1, 8))
+        picks = st.lists(st.integers(0, len(distinct) - 1), min_size=n, max_size=n)
+        A, B = distinct[data.draw(picks)], distinct[data.draw(picks)]
+        spec = spec_for(scheme, 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ab = graphs._closeness(A, B, spec)
+            ba = graphs._closeness(B, A, spec)
+        assert ab.dtype == ba.dtype and ab.tobytes() == ba.tobytes()
 
 
 class TestEdgeWeight:
@@ -386,14 +441,28 @@ class TestBuildGraph:
     def test_given_neighbors_must_match_spec(self):
         ds = dataset_from_arrays(np.arange(8.0)[:, None])
         spec = spec_for("gaussian", 3)
-        nbrs = knn_neighbors(ds, spec)
         scanned = np.array(neighbors_oracle(ds.feature_matrix, "gaussian", 3))
-        assert np.array_equal(
-            build_graph(ds, spec, nbrs).weights.toarray(),
-            build_graph(ds, spec, scanned).weights.toarray(),
-        )
-        with pytest.raises(ValueError, match="shape"):
-            build_graph(ds, spec, nbrs[:, :2])
+        assert_same_graph(build_graph(ds, spec, knn_edges(ds, spec)),
+                          knn_graph_oracle(ds, spec, scanned))
+        # edges of a narrower selection, of another measure or over another
+        # node count do not hold the spec's
+        for other, data in [(spec_for("gaussian", 2), ds), (spec_for("tanimoto", 3), ds),
+                            (spec, dataset_from_arrays(np.arange(9.0)[:, None]))]:
+            with pytest.raises(ValueError, match="do not hold"):
+                build_graph(ds, spec, knn_edges(data, other))
+
+    def test_knn_edges_rank_is_first_position_from_either_end(self):
+        # neighbours by distance: 0 -> 1 2 3, 1 -> 0 2 3, 2 -> 1 0 3, 3 -> 2 1 0
+        ds = dataset_from_arrays([[0.0], [1.0], [3.0], [7.0]])
+        edges = knn_edges(ds, spec_for("gaussian", 3))
+        assert list(zip(edges.i.tolist(), edges.j.tolist())) == [
+            (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)
+        ]
+        assert edges.rank.tolist() == [0, 1, 2, 0, 1, 0]
+        assert edges.key.tolist() == [1.0, 9.0, 49.0, 4.0, 36.0, 16.0]
+        for k, pairs in [(1, [(0, 1), (1, 2), (2, 3)]), (2, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])]:
+            graph = build_graph(ds, spec_for("gaussian", k), edges)
+            assert list(zip(graph.i.tolist(), graph.j.tolist())) == pairs
 
     def test_nonnegative_quadratic_form(self):
         rng = np.random.default_rng(4)
@@ -455,18 +524,49 @@ class TestPool:
         specs = default_spec_grid(ds, SCHEMES, k_values, (0.5, 2.0))
         pool = build_pool(ds, specs)
         for spec, graph in zip(specs, pool.graphs):
-            alone = knn_graph(ds, spec).weights
-            assert graph.spec == spec
-            assert (graph.weights != alone).nnz == 0
-            assert np.array_equal(graph.weights.indices, alone.indices)
+            alone = knn_graph_oracle(ds, spec)
+            assert_same_graph(graph, alone)
+            assert (graph.weights != alone.weights).nnz == 0
+            assert np.array_equal(graph.weights.indices, alone.weights.indices)
+
+    @pytest.mark.parametrize("case", ["default_golden", "benchmark_golden", "ties", "negative"])
+    def test_pool_graphs_match_per_spec_assembly(self, case):
+        # every graph's edges and weight bytes equal the per-spec assembly:
+        # its own selection's union, weighed by edge_weight over the rows;
+        # several k per measure, so most specs take a share below the widest
+        rng = np.random.default_rng(3)
+        k_values, schemes = (5, 10), SCHEMES
+        if case == "default_golden":
+            ds = default_golden_dataset()
+        elif case == "benchmark_golden":
+            ds = benchmark_golden_dataset()
+        elif case == "ties":
+            # few distinct small-integer rows, repeated: tied keys everywhere
+            distinct = rng.integers(0, 3, size=(6, 3)).astype(float)
+            distinct[~distinct.any(axis=1), 0] = 1.0
+            ds = dataset_from_arrays(distinct[rng.integers(0, 6, 30)])
+            k_values = (1, 3, 4, 8)
+        else:
+            # features of both signs: dot_product, cosine and tanimoto weights
+            # clamp at 0 on wide graphs
+            ds = dataset_from_arrays(rng.normal(size=(40, 3)))
+            k_values, schemes = (2, 9, 25), ("gaussian", "dot_product", "cosine", "tanimoto")
+        specs = default_spec_grid(ds, schemes, k_values)
+        pool = build_pool(ds, specs)
+        assert [g.spec for g in pool.graphs] == specs
+        clamped = set()
+        for spec, graph in zip(specs, pool.graphs):
+            assert_same_graph(graph, knn_graph_oracle(ds, spec))
+            X = ds.feature_matrix
+            if (edge_weight(X[graph.i], X[graph.j], spec) < 0).any():
+                clamped.add(spec.scheme)
+        assert clamped == ({"dot_product", "cosine", "tanimoto"} if case == "negative" else set())
 
     def test_default_pool_bytes_golden(self, tmp_path):
         # sha256 of the bytes written when every spec ran its own full stable
         # argsort (numpy 2.4.6, x86-64); rows repeat and small-integer rows
         # tie, so any change to the tie-break or the k slicing shows here
-        base = generate_synthetic(3, 8, 4, 1.0, 6.0, 0).feature_matrix
-        X = np.vstack([base, base[[0, 3, 3, 10, 17]], np.round(base[:8]) + 1.0])
-        ds = dataset_from_arrays(X, [f"c{i % 3}" for i in range(len(X))])
+        ds = default_golden_dataset()
         path = tmp_path / "pool.json"
         save_pool(build_pool(ds, default_spec_grid(ds)), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
@@ -477,7 +577,7 @@ class TestPool:
         # sha256 of the bytes written by the exhaustive neighbour scan (numpy
         # 2.4.6, x86-64) at N=600, d=32, the default grid: every measure's
         # selection runs on many row blocks with real gaps between keys
-        ds = generate_synthetic(5, 120, 32, 1.0, 5.0, 0)
+        ds = benchmark_golden_dataset()
         path = tmp_path / "pool.json"
         save_pool(build_pool(ds, default_spec_grid(ds)), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
