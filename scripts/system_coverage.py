@@ -42,9 +42,6 @@ ALLOWED = {
     "graphs._triplet_arrays.fail": "raises for a corrupt pool file",
     "ranker._training_failure": "builds the error of a training solve that misses the residual bound",
     "__init__.__dir__": "runs only on dir(multigrank)",
-    "ranker._solve_spd": "the direct online path: the only path at ridge 0 and for "
-                         "N + 1 > INVERSE_LIMIT, which no workload reaches yet",
-    "ranker._star_laplacian": "the direct online path, as ranker._solve_spd",
     "graphs.BaseGraph.weights": "read only by the benchmark's tracer and worker",
 }
 

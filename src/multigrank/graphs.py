@@ -465,9 +465,11 @@ def build_graph(ds: Dataset, spec: GraphSpec, edges: KnnEdges) -> BaseGraph:
     return BaseGraph(spec, edges.n, i, j, np.maximum(w, 0.0))
 
 
-def _share_per_measure(specs, select):
+def share_per_measure(specs, select):
     """Each spec with its measure's selection, in spec order (a generator):
-    ``select(spec)`` runs once per measure, for its spec of largest k."""
+    ``select(spec)`` runs once per measure, for its spec of largest k, and
+    each spec takes its own share, the first k of a selection closest first
+    (``extend_graph``) or the edges of rank < k (``build_graph``)."""
     specs = list(specs)
     widest = {}
     for spec in specs:
@@ -482,13 +484,6 @@ def _share_per_measure(specs, select):
         yield spec, selected[measure]
 
 
-def select_per_measure(specs, select):
-    """Each spec's neighbours, in spec order (a generator): ``select(spec)``,
-    closest first along the last axis, runs once per measure at its largest
-    k, and each spec takes the first k, its own selection as ties go by index."""
-    return (selected[..., : spec.k] for spec, selected in _share_per_measure(specs, select))
-
-
 def build_pool(ds: Dataset, specs) -> GraphPool:
     """Build all candidate graphs, in spec order, bound to the dataset.
 
@@ -501,7 +496,7 @@ def build_pool(ds: Dataset, specs) -> GraphPool:
     specs = list(specs)
     if not specs:
         raise ValueError("cannot build a pool from an empty spec list")
-    shared = _share_per_measure(specs, lambda spec: knn_edges(ds, spec))
+    shared = share_per_measure(specs, lambda spec: knn_edges(ds, spec))
     graphs = tuple(build_graph(ds, spec, edges) for spec, edges in shared)
     return GraphPool(graphs=graphs, fingerprint=dataset_fingerprint(ds), dim=ds.dim)
 

@@ -11,12 +11,12 @@ ranked by ``(e0 e0' + alpha L + ridge I) f = e0``.  Only row and column 0 of
 that system change per query: its database block ``K = alpha L_db + ridge
 I`` is assembled on the edge table as the training system is and kept on
 the pool, and the query adds only its star, the edges joining it to its
-neighbours, held as plain arrays (``QueryStar``).  K is inverted once per
-pool and weights, and each query is solved by a low-rank update on the rows
-its star touches, which reads only those columns of the inverse; no sparse
-matrix is built per query.  Every other solve, the direct path, assembles
-the sparse extended system from the star and runs the training's block
-conjugate gradients on it.
+neighbours, held as plain arrays (``QueryStar``).  Eliminating row 0 leaves
+the N x N system ``B = K + alpha diag(w)``, K updated on the rows the star
+touches.  When K is inverted, once per pool and weights, B is solved by a
+low-rank update that reads only those columns of the inverse, and no sparse
+matrix is built per query; otherwise, B is solved by the training's block
+conjugate gradients.
 """
 
 from __future__ import annotations
@@ -29,12 +29,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from .dataset import Dataset, RelevanceMatrix, dataset_fingerprint, json_field
-from .graphs import GraphPool, extend_graph, query_neighbors, query_vector, select_per_measure
+from .graphs import GraphPool, extend_graph, query_neighbors, query_vector, share_per_measure
 from .specs import HyperParams
 
-# cap on the memory of the held inverse: the largest extended system (N + 1
-# rows) whose N x N database block is inverted, N^2 doubles (128 MB at
-# N = 4000); larger systems take the direct path at every query
+# cap on the memory of the held inverse: the N x N database block is
+# inverted only while N + 1 <= INVERSE_LIMIT, N^2 doubles (128 MB at
+# N = 4000); larger databases solve every query by conjugate gradients
 INVERSE_LIMIT = 4096
 # conjugate-gradient stopping tolerance, relative to each right-hand side
 CG_RTOL = 1e-14
@@ -128,20 +128,6 @@ def _relative_residuals(A, X: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(X).all(axis=0), rel, np.nan)
 
 
-def _solve_spd(A, rhs) -> np.ndarray:
-    """Solve A x = rhs for a sparse symmetric positive (semi)definite A.
-
-    Every column of rhs is solved at once by ``_block_cg``, preconditioned by
-    A's diagonal.  Raises SingularSystemError when the result fails the
-    RESIDUAL_TOL check.
-    """
-    B = np.reshape(rhs, (A.shape[0], -1))
-    X, _ = _block_cg(A, A.diagonal(), B)
-    if not (_relative_residuals(A, X, B) <= RESIDUAL_TOL).all():
-        raise SingularSystemError(SINGULAR_MSG)
-    return X.reshape(np.shape(rhs))
-
-
 class QueryStar(NamedTuple):
     """The query's star: node 0 joined to database nodes ``T + 1``.
 
@@ -158,55 +144,39 @@ class QueryStar(NamedTuple):
     n: int
 
 
-def _star_laplacian(star: QueryStar) -> sp.csr_matrix:
-    """The (n + 1)^2 CSR Laplacian of the star, for the direct path."""
-    T, s = star.T, star.T.size
-    # row 0: the degree, then -w_T; row t + 1 for t in T: -w_t, then w_t
-    data = np.empty(3 * s + 1)
-    indices = np.zeros(3 * s + 1, dtype=T.dtype)
-    data[0] = star.degree
-    data[1 : s + 1] = data[s + 1 :: 2] = -star.w
-    data[s + 2 :: 2] = star.w
-    indices[1 : s + 1] = indices[s + 2 :: 2] = T + 1
-    indptr = np.zeros(star.n + 2, dtype=T.dtype)
-    indptr[1:] = s + 1 + 2 * np.searchsorted(T, np.arange(star.n + 1))
-    return sp.csr_matrix((data, indices, indptr), shape=(star.n + 1, star.n + 1))
+def _star_solves(star: QueryStar, frozen, alpha: float, ridge: float):
+    """``B^-1 w`` for the database block ``B = K + alpha diag_T(w)`` of the
+    online system, each way in turn (a generator).
 
-
-def _bordered_solve(star: QueryStar, alpha: float, ridge: float, K, inv: np.ndarray):
-    """Solve (e0 e0' + alpha L + blockdiag(ridge, K)) f = e0 from ``inv = K^-1``.
-
-    ``L`` is the Laplacian of the query's star, and ``K = alpha L_db + ridge
-    I`` the frozen database block.  The database block of the system is
-    ``B = K + alpha diag(w)``, an update of K on the star's rows T.  Woodbury
-    gives ``B^-1 w = Q t`` with ``Q = K^-1 E_T``, the columns T of the
-    inverse, and ``(diag(1 / (alpha w_T)) + Q[T]) t = 1 / alpha``, solved
-    here in the symmetric form scaled by ``sqrt(alpha w_T)``.  The query row
-    then gives f0, and ``f_db = alpha f0 B^-1 w``.
-
-    Returns None when the result is not finite or its relative residual
-    against the true system exceeds RESIDUAL_TOL.  The residual is read from
-    the star's arrays: ``K f_db`` plus ``alpha w_t (f_t - f0)`` on the rows
-    T, and ``(1 + alpha degree + ridge) f0 - alpha w_T . f_T - 1`` on row 0.
+    ``frozen`` is ``(K, inv)``, with ``inv = K^-1`` or None.  From the
+    inverse, Woodbury gives ``B^-1 w = Q t`` with ``Q = K^-1 E_T``, the
+    columns T of the inverse, and ``(diag(1 / (alpha w_T)) + Q[T]) t = 1 /
+    alpha``, solved here in the symmetric form scaled by ``sqrt(alpha w_T)``.
+    Then, by the training's block conjugate gradients on the sparse N x N
+    B.  At ridge 0 this raises SingularSystemError first when some component
+    of K's graph holds no star node: that component holds no known entry,
+    so the system is singular.
     """
+    K, inv = frozen
     T, w_T = star.T, star.w
-    a00 = 1.0 + alpha * star.degree + ridge
-    # C order, so that the products with Q below round alike for any layout of inv
-    Q = np.ascontiguousarray(inv[:, T])
-    sw = np.sqrt(alpha * w_T)
-    M = np.eye(T.size) + sw[:, None] * Q[T] * sw[None, :]
-    Bw = Q @ (sw * np.linalg.solve(M, sw / alpha))
-    f0 = 1.0 / (a00 - alpha * alpha * (w_T @ Bw[T]))
-    f = np.empty(star.n + 1)
-    f[0] = f0
-    f_db = np.multiply(alpha * f0, Bw, out=f[1:])
-    if not np.all(np.isfinite(f)):
-        return None
-    f_T = f_db[T]
-    resid = K @ f_db
-    resid[T] += alpha * w_T * (f_T - f0)
-    resid0 = a00 * f0 - alpha * (w_T @ f_T) - 1.0
-    return None if np.hypot(resid0, np.linalg.norm(resid)) > RESIDUAL_TOL else f
+    if inv is not None:
+        # C order, so that the products with Q below round alike for any layout of inv
+        Q = np.ascontiguousarray(inv[:, T])
+        sw = np.sqrt(alpha * w_T)
+        M = np.eye(T.size) + sw[:, None] * Q[T] * sw[None, :]
+        yield Q @ (sw * np.linalg.solve(M, sw / alpha))
+    if ridge == 0:
+        # csgraph imports scipy.sparse.linalg, which only this branch needs
+        from scipy.sparse.csgraph import connected_components
+
+        count, labels = connected_components(K != 0, directed=False)
+        if np.unique(labels[T]).size < count:
+            raise SingularSystemError(SINGULAR_MSG)
+    B = K + sp.csr_matrix((alpha * w_T, (T, T)), shape=K.shape)
+    w = np.zeros((star.n, 1))
+    w[T, 0] = w_T
+    X, _ = _block_cg(B, B.diagonal(), w)
+    yield X[:, 0]
 
 
 def grank_solve(star: QueryStar, frozen, alpha: float, ridge: float) -> np.ndarray:
@@ -215,30 +185,36 @@ def grank_solve(star: QueryStar, frozen, alpha: float, ridge: float) -> np.ndarr
     The query is node 0, the one known entry, joined to the database by its
     star ``L`` (a ``QueryStar``).  ``frozen`` is ``_frozen_factor``'s pair
     ``(K, inv)``: ``K = alpha L_db + ridge I`` is the sparse database block,
-    and ``inv`` is K^-1 or None.  With the inverse, the system is solved by a
-    low-rank update of it on the star's arrays (``_bordered_solve``).
-    Without it, or when that result fails the residual check, the direct
-    path assembles the sparse system and solves it by block conjugate
-    gradients (``_solve_spd``).  At ridge 0 the direct path first raises
-    SingularSystemError when the system has more than one connected
-    component: one of them holds no known entry, so the system is singular.
-    Returns the N + 1 scores, the query's first.
-    """
-    K, inv = frozen
-    if inv is not None:
-        f = _bordered_solve(star, alpha, ridge, K, inv)
-        if f is not None:
-            return f
-    A = (alpha * _star_laplacian(star) + sp.block_diag(([[1.0 + ridge]], K))).tocsr()
-    if ridge == 0:
-        # csgraph imports scipy.sparse.linalg, which only this branch needs
-        from scipy.sparse.csgraph import connected_components
+    and ``inv`` is K^-1 or None.  The system's database block is ``B = K +
+    alpha diag(w)``, an update of K on the star's rows T, so the query row
+    gives ``f0 = 1 / (a00 - alpha^2 w_T . (B^-1 w)_T)``, with ``a00 = 1 +
+    alpha degree + ridge``, and ``f_db = alpha f0 B^-1 w``.  ``B^-1 w``
+    comes from the inverse when there is one, and else, or when that result
+    fails the check below, from conjugate gradients on B (``_star_solves``).
 
-        if connected_components(A != 0, directed=False)[0] > 1:
-            raise SingularSystemError(SINGULAR_MSG)
-    rhs = np.zeros(star.n + 1)
-    rhs[0] = 1.0
-    return _solve_spd(A, rhs)
+    A result is kept when it is finite and its relative residual against the
+    system is within RESIDUAL_TOL.  The residual is read from the star's
+    arrays: ``K f_db`` plus ``alpha w_t (f_t - f0)`` on the rows T, and
+    ``a00 f0 - alpha w_T . f_T - 1`` on row 0.  Raises SingularSystemError
+    when no result passes.  Returns the N + 1 scores, the query's first.
+    """
+    K = frozen[0]
+    T, w_T = star.T, star.w
+    a00 = 1.0 + alpha * star.degree + ridge
+    for Bw in _star_solves(star, frozen, alpha, ridge):
+        f0 = 1.0 / (a00 - alpha * alpha * (w_T @ Bw[T]))
+        f = np.empty(star.n + 1)
+        f[0] = f0
+        f_db = np.multiply(alpha * f0, Bw, out=f[1:])
+        if not np.all(np.isfinite(f)):
+            continue
+        f_T = f_db[T]
+        resid = K @ f_db
+        resid[T] += alpha * w_T * (f_T - f0)
+        resid0 = a00 * f0 - alpha * (w_T @ f_T) - 1.0
+        if np.hypot(resid0, np.linalg.norm(resid)) <= RESIDUAL_TOL:
+            return f
+    raise SingularSystemError(SINGULAR_MSG)
 
 
 def combine_laplacians(edges, mu: np.ndarray, n: int) -> QueryStar:
@@ -301,7 +277,7 @@ def _block_cg(A, diag: np.ndarray, B: np.ndarray, X0=None) -> tuple[np.ndarray, 
     once its residual is within CG_RTOL of ``|B[:, c]|``; a zero column is
     solved by 0.  Starts from ``X0`` when given, and gives up after 20 N steps.
     Returns the solution and the number of steps taken; the caller checks the
-    result with ``_relative_residuals``.
+    result's residual.
     """
     n, c = B.shape
     X = np.zeros((n, c)) if X0 is None else np.array(X0, dtype=np.float64)
@@ -460,7 +436,8 @@ def _frozen_factor(pool: GraphPool, mu: np.ndarray, alpha: float, ridge: float):
     formed.  The pool holds the pair for the last (mu, alpha, ridge) asked
     for.  The inverse is None at ridge 0 (a Laplacian has the constant vector
     in its null space), past INVERSE_LIMIT (the N x N inverse is not
-    held), or where Cholesky cannot factor K.
+    held), or where Cholesky cannot factor K; each query then takes the
+    conjugate-gradient solve of ``grank_solve``.
     """
     key = (mu.tobytes(), alpha, ridge)
     cached = getattr(pool, "_frozen_block", None)
@@ -484,14 +461,17 @@ def _frozen_factor(pool: GraphPool, mu: np.ndarray, alpha: float, ridge: float):
 
 def _rank_extended(pool: GraphPool, mu: np.ndarray, ds: Dataset, x0, alpha: float,
                    ridge: float, query_id: str) -> RankedList:
-    """Rank with the pool's graphs weighted by ``mu``; graphs of weight 0 are skipped."""
+    """Rank with the pool's graphs weighted by ``mu``; graphs of weight 0 are
+    skipped, and the query is selected once per measure (``share_per_measure``)."""
+    if pool.fingerprint != dataset_fingerprint(ds):
+        raise ValueError("pool was built from a different dataset (fingerprint mismatch)")
     if len(mu) != pool.m:
         raise ValueError(f"model has {len(mu)} graph weights but the pool has {pool.m} graphs")
     active = np.flatnonzero(mu)
     graphs = [pool.graphs[i] for i in active]
-    selections = select_per_measure([g.spec for g in graphs],
-                                    lambda spec: query_neighbors(ds, x0, spec))
-    edges = [extend_graph(g, ds, x0, nbrs) for g, nbrs in zip(graphs, selections)]
+    shared = share_per_measure([g.spec for g in graphs],
+                               lambda spec: query_neighbors(ds, x0, spec))
+    edges = [extend_graph(g, ds, x0, nbrs) for g, (_, nbrs) in zip(graphs, shared)]
     star = combine_laplacians(edges, mu[active], pool.n)
     f = grank_solve(star, _frozen_factor(pool, mu, alpha, ridge), alpha, ridge)
     return make_ranked(query_id, f[1:], ds.ids)
@@ -508,8 +488,6 @@ def rank_online(model: RankModel, pool: GraphPool, ds: Dataset, x0, *,
     """
     if model.pool_fingerprint != pool.fingerprint:
         raise ValueError("model was trained against a different pool (fingerprint mismatch)")
-    if pool.fingerprint != dataset_fingerprint(ds):
-        raise ValueError("pool was built from a different dataset (fingerprint mismatch)")
     params = model.params
     return _rank_extended(pool, model.weights.mu, ds, x0, params.alpha, params.ridge, query_id)
 
@@ -519,8 +497,6 @@ def grank_online(pool: GraphPool, graph_index: int, ds: Dataset, x0,
     """Single-graph arm: online ranking regularized by one pooled graph only."""
     if not 0 <= graph_index < pool.m:
         raise ValueError(f"graph index {graph_index} out of range for pool of {pool.m}")
-    if pool.fingerprint != dataset_fingerprint(ds):
-        raise ValueError("pool was built from a different dataset (fingerprint mismatch)")
     mu = np.zeros(pool.m)
     mu[graph_index] = 1.0
     return _rank_extended(pool, mu, ds, x0, params.alpha, params.ridge, query_id)

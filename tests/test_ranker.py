@@ -426,15 +426,12 @@ class TestCollapsedTraining:
         assert np.linalg.norm(F - oracle) / np.linalg.norm(oracle) <= 1e-8
 
     def test_training_never_densifies(self, monkeypatch):
-        import multigrank.ranker as ranker
-
         ds, pool = small_pool(n_classes=3)
         Y = relevance_matrix(ds, 1)
 
         def refuse(*args, **kwargs):
             raise AssertionError("dense solve or Laplacian built during training")
 
-        monkeypatch.setattr(ranker, "_solve_spd", refuse)
         monkeypatch.setattr(BaseGraph, "weights", property(refuse))
         model = train_offline(pool, Y, HyperParams(max_iters=3))
         offline_f_update(pool, model.weights, class_indicator(Y), alpha=1.0)
@@ -599,9 +596,9 @@ def refuse_direct_solve(monkeypatch):
     import multigrank.ranker as ranker
 
     def refuse(*args, **kwargs):
-        raise AssertionError("direct solve called; the frozen factor was not used")
+        raise AssertionError("conjugate gradients called; the frozen factor was not used")
 
-    monkeypatch.setattr(ranker, "_solve_spd", refuse)
+    monkeypatch.setattr(ranker, "_block_cg", refuse)
 
 
 class TestFrozenFactor:
@@ -901,7 +898,7 @@ class TestConjugateGradientPath:
             oracle = np.linalg.inv(np.diag(u + params.ridge) + params.alpha * L) @ u
             err = np.linalg.norm(ranked.scores - oracle[1:]) / np.linalg.norm(oracle[1:])
             assert err <= 1e-8
-        assert cg_calls == [(ds.n + 1, 1)] * 2
+        assert cg_calls == [(ds.n, 1)] * 2
 
     def test_ridge_zero_raises_on_disconnected_pool(self, cg_calls):
         ds, pool = offset_clusters()
@@ -933,6 +930,36 @@ class TestConjugateGradientPath:
             oracle = selection_solve_oracle(extended_laplacian(pool, mu, ds, x0), u, u, 0.8, ridge)
             star = combine_laplacians([query_edges(g, ds, x0) for g in pool.graphs], mu, ds.n)
             f = grank_solve(star, (K, None), 0.8, ridge)
+            assert np.linalg.norm(f - oracle) / np.linalg.norm(oracle) <= 1e-8
+
+    def test_inverse_result_failing_the_check_is_solved_by_cg(self, monkeypatch):
+        # an inverse held for other weights gives a Woodbury result that fails
+        # the residual check; the query is then solved again by conjugate
+        # gradients on B, to the bytes of a solve with no inverse at all
+        import multigrank.ranker as ranker
+
+        ds, pool = self.connected_pool()
+        mu, alpha, ridge = np.array([0.2, 0.5, 0.3]), 0.8, 1e-8
+        K, _ = _frozen_factor(pool, mu, alpha, ridge)
+        _, stale = _frozen_factor(pool, np.array([0.6, 0.0, 0.4]), alpha, ridge)
+        assert stale is not None
+        calls = []
+        solve = ranker._block_cg
+
+        def counted(*args):
+            calls.append(args[2].shape)
+            return solve(*args)
+
+        monkeypatch.setattr(ranker, "_block_cg", counted)
+        u = query_selector(ds.n)
+        for x0 in (ds.records[3].features, ds.records[-1].features + 0.2):
+            star = combine_laplacians([query_edges(g, ds, x0) for g in pool.graphs], mu, ds.n)
+            calls.clear()
+            f = grank_solve(star, (K, stale), alpha, ridge)
+            assert calls == [(ds.n, 1)]
+            assert f.tobytes() == grank_solve(star, (K, None), alpha, ridge).tobytes()
+            oracle = selection_solve_oracle(extended_laplacian(pool, mu, ds, x0), u, u, alpha,
+                                            ridge)
             assert np.linalg.norm(f - oracle) / np.linalg.norm(oracle) <= 1e-8
 
     def test_chain_graph_within_the_step_cap(self, monkeypatch):
