@@ -38,8 +38,6 @@ PACKAGE = ROOT / "src" / "multigrank"
 # function -> why no system caller reaches it
 ALLOWED = {
     "cli._Parser.error": "runs only on a usage error",
-    "dataset.json_text": "formats the message of a corrupt pool file",
-    "graphs._triplet_arrays.fail": "raises for a corrupt pool file",
     "ranker._training_failure": "builds the error of a training solve that misses the residual bound",
     "__init__.__dir__": "runs only on dir(multigrank)",
     "graphs.BaseGraph.weights": "read only by the benchmark's tracer and worker",

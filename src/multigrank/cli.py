@@ -91,26 +91,14 @@ def _out_dir(cfg: RunConfig) -> Path:
     return out
 
 
-def _load_checked_pool(cfg: RunConfig, ds):
-    from . import graphs
+def _load_checked_model(cfg: RunConfig, ds):
+    """The pool, checked against the dataset, and the model, checked against the pool."""
+    from . import graphs, ranker
 
     pool = graphs.load_pool(_require(cfg.pool, "pool"))
-    if pool.fingerprint != dataset_fingerprint(ds):
-        raise ValueError(
-            f"pool fingerprint {pool.fingerprint} does not match dataset "
-            f"{_require(cfg.dataset, 'dataset')}"
-        )
-    return pool
-
-
-def _load_checked_model(cfg: RunConfig, ds):
-    """The checked pool and the model trained on it."""
-    from . import ranker
-
-    pool = _load_checked_pool(cfg, ds)
+    ranker.check_pool(pool, ds)
     model = ranker.load_model(_require(cfg.model, "model"))
-    if model.pool_fingerprint != pool.fingerprint:
-        raise ValueError("model fingerprint does not match pool")
+    ranker.check_model(model, pool)
     return pool, model
 
 
@@ -137,17 +125,19 @@ def cmd_pool(cfg: RunConfig) -> None:
     ds = load_dataset(_require(cfg.dataset, "dataset"))
     specs = graphs.default_spec_grid(ds, cfg.schemes, cfg.k_values, cfg.sigma_multipliers)
     pool = graphs.build_pool(ds, specs)
-    path = Path(cfg.pool) if cfg.pool else _out_dir(cfg) / "pool.json"
+    path = Path(cfg.pool) if cfg.pool else _out_dir(cfg) / "pool.bin"
     graphs.save_pool(pool, path)
-    print(f"pool: {pool.m} graphs over {pool.n} items (fingerprint {pool.fingerprint}) -> {path}")
+    print(f"pool: {pool.m} graphs over {pool.n} items of dataset {dataset_fingerprint(ds)} "
+          f"(fingerprint {pool.fingerprint}) -> {path}")
 
 
 def cmd_train(cfg: RunConfig) -> None:
     """Learn graph weights offline and persist the model."""
-    from . import ranker
+    from . import graphs, ranker
 
     ds = load_dataset(_require(cfg.dataset, "dataset"))
-    pool = _load_checked_pool(cfg, ds)
+    pool = graphs.load_pool(_require(cfg.pool, "pool"))
+    ranker.check_pool(pool, ds)
     relevance = relevance_matrix(ds, cfg.level)
     params = HyperParams(
         alpha=cfg.alpha, beta=cfg.beta, max_iters=cfg.iters, ridge=cfg.ridge, tol=cfg.tol
@@ -269,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pool", parents=[common], help="build the candidate graph pool")
     p.add_argument("--dataset")
-    p.add_argument("--pool", help="output pool file (default: <out>/pool.json)")
+    p.add_argument("--pool", help="output pool file (default: <out>/pool.bin)")
     p.add_argument("--schemes", nargs="+", choices=SCHEMES)
     p.add_argument("--k", nargs="+", type=int, dest="k_values")
     p.add_argument("--sigma-multipliers", nargs="+", type=float)

@@ -170,18 +170,6 @@ def json_fits(value, hint) -> bool:
     return isinstance(value, hint)
 
 
-def json_text(value) -> str:
-    """repr of a parsed JSON value for a message, with each integer longer
-    than 20 characters cut to its first 20 plus its digit count: an integer
-    out of float range has hundreds of digits."""
-    if isinstance(value, list):
-        return "[" + ", ".join(map(json_text, value)) + "]"
-    text = repr(value)
-    if isinstance(value, int) and len(text) > 20:
-        return f"{text[:20]}... ({len(text.lstrip('-'))} digits)"
-    return text
-
-
 _HINT_NAMES = {int: "an integer", float: "a number", float | None: "a number or null",
                str: "a string", list: "a list", dict: "an object",
                tuple[float, ...]: "a list of numbers"}

@@ -17,17 +17,18 @@ features again.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .dataset import Dataset, dataset_fingerprint, json_field, json_fits, json_text
+from .dataset import Dataset, dataset_fingerprint, json_field
 from .specs import K_VALUES, SCHEMES, SIGMA_MULTIPLIERS, GraphSpec
 
-# triplets per json.dumps call in save_pool
-_SAVE_BLOCK = 1 << 14
+# how the pool file stores each graph's i, j and w
+_EDGE_DTYPES = ("<i8", "<i8", "<f8")
 
 
 @dataclass(eq=False)
@@ -89,12 +90,23 @@ class EdgeTable:
         return cls(i=i, j=j, weights=weights, indptr=indptr, indices=cols[order], order=order)
 
 
+def _graph_docs(graphs) -> list[dict]:
+    """Each graph's spec and edge count, as the pool file's header lists them."""
+    return [{"spec": {"scheme": g.spec.scheme, "k": g.spec.k, "sigma": g.spec.sigma},
+             "nnz": g.i.size} for g in graphs]
+
+
+def _edge_arrays(graph: BaseGraph) -> list[np.ndarray]:
+    """The graph's i, j and w as the pool file stores them."""
+    return [np.ascontiguousarray(a, t) for a, t in zip((graph.i, graph.j, graph.w), _EDGE_DTYPES)]
+
+
 @dataclass(eq=False)
 class GraphPool:
-    """Ordered candidate graphs over one dataset, bound by its fingerprint."""
+    """Ordered candidate graphs over the dataset of ``dataset_fingerprint``."""
 
     graphs: tuple[BaseGraph, ...]
-    fingerprint: str
+    dataset_fingerprint: str
     dim: int
 
     @property
@@ -109,6 +121,16 @@ class GraphPool:
     def edge_table(self) -> EdgeTable:
         """The graphs' edge table, built on first use and kept (E x M floats)."""
         return EdgeTable.from_graphs(self.graphs, self.n)
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """Short stable hash binding models to this pool, computed once: of its
+        dataset's fingerprint, N, d, its specs in order and its edge bytes."""
+        h = hashlib.sha256(json.dumps([self.dataset_fingerprint, self.n, self.dim,
+                                       _graph_docs(self.graphs)]).encode())
+        for array in (array for graph in self.graphs for array in _edge_arrays(graph)):
+            h.update(array)
+        return h.hexdigest()[:16]
 
 
 # elements per (rows, N) filter key block in knn_neighbors, and per gathered
@@ -498,7 +520,7 @@ def build_pool(ds: Dataset, specs) -> GraphPool:
         raise ValueError("cannot build a pool from an empty spec list")
     shared = share_per_measure(specs, lambda spec: knn_edges(ds, spec))
     graphs = tuple(build_graph(ds, spec, edges) for spec, edges in shared)
-    return GraphPool(graphs=graphs, fingerprint=dataset_fingerprint(ds), dim=ds.dim)
+    return GraphPool(graphs=graphs, dataset_fingerprint=dataset_fingerprint(ds), dim=ds.dim)
 
 
 def query_vector(ds: Dataset, x0) -> np.ndarray:
@@ -716,88 +738,74 @@ def default_spec_grid(
 
 
 def save_pool(pool: GraphPool, path) -> None:
-    """Persist a pool: header plus each graph's [i, j, weight] edge triplets.
-
-    The file is the ``json.dumps`` text of the whole document, written one
-    graph, and within it one block of ``_SAVE_BLOCK`` triplets, at a time,
-    so that no more than a block of triplets is held as Python objects.
-    """
-    head = {"version": 1, "M": pool.m, "N": pool.n, "d": pool.dim,
-            "fingerprint": pool.fingerprint, "graphs": []}
-    with open(path, "w", encoding="utf-8") as fh:
-        # each document is written open, without its closing "]}"
-        fh.write(json.dumps(head)[:-2])
-        for index, graph in enumerate(pool.graphs):
-            spec = {"scheme": graph.spec.scheme, "k": graph.spec.k, "sigma": graph.spec.sigma}
-            fh.write((", " if index else "")
-                     + json.dumps({"spec": spec, "nnz": graph.i.size, "triplets": []})[:-2])
-            for lo in range(0, graph.i.size, _SAVE_BLOCK):
-                part = slice(lo, lo + _SAVE_BLOCK)
-                # json writes each tuple as an array
-                block = zip(graph.i[part].tolist(), graph.j[part].tolist(), graph.w[part].tolist())
-                fh.write((", " if lo else "") + json.dumps(list(block))[1:-1])
-            fh.write("]}")
-        fh.write("]}\n")
+    """Persist a pool: one JSON header line (``version`` 2, ``M``, ``N``, ``d``,
+    the dataset's and the pool's fingerprints, each graph's ``spec`` and
+    ``nnz``), then graph by graph its raw ``i``, ``j`` (``<i8``) and ``w`` (``<f8``)."""
+    head = {"version": 2, "M": pool.m, "N": pool.n, "d": pool.dim,
+            "dataset_fingerprint": pool.dataset_fingerprint, "fingerprint": pool.fingerprint,
+            "graphs": _graph_docs(pool.graphs)}
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(head).encode() + b"\n")
+        fh.writelines(array.data for graph in pool.graphs for array in _edge_arrays(graph))
 
 
-def _triplet_arrays(index: int, n: int, trip):
-    """Rows, columns and weights of the stored [i, j, weight] triplets, sorted
-    row-major; rejects triplets that do not describe a simple weighted graph."""
-
-    def fail(at, need):
-        raise ValueError(f"pool file corrupt: graph {index} triplet {json_text(trip[at])}: {need}")
-
-    try:
-        rows, cols, vals = np.array(trip, dtype=np.float64).reshape(len(trip), 3).T
-    except (TypeError, ValueError, OverflowError):
-        at = next(at for at, t in enumerate(trip)
-                  if not (json_fits(t, tuple[float, ...]) and len(t) == 3))
-        # three numbers that are not three floats hold an integer past float range
-        numbers = json_fits(trip[at], tuple[int | float, ...]) and len(trip[at]) == 3
-        fail(at, "out of float range" if numbers else "expected [i, j, weight]")
-    bad = np.flatnonzero(~(np.isfinite(vals) & (vals >= 0)))
-    if bad.size:
-        fail(bad[0], "weight must be finite and >= 0")
-    whole = (rows % 1 == 0) & (cols % 1 == 0)
-    bad = np.flatnonzero(~(whole & (rows >= 0) & (rows < cols) & (cols < n)))
-    if bad.size:
-        fail(bad[0], f"indices must be integers with 0 <= i < j < N={n}")
-    keys = rows * n + cols
-    order = np.argsort(keys, kind="stable")
-    repeat = np.flatnonzero(keys[order][1:] == keys[order][:-1])
-    if repeat.size:
-        fail(order[repeat[0] + 1], "edge (i, j) stored more than once")
-    return rows[order].astype(np.int64), cols[order].astype(np.int64), vals[order]
+def _check_edges(index: int, n: int, i, j, w) -> None:
+    """Raise ValueError naming graph ``index``'s first edge at fault, unless each
+    weight is finite and >= 0, each edge has ``0 <= i < j < n``, row-major, once."""
+    same_row = i[1:] == i[:-1]
+    repeated = np.concatenate(([False], same_row & (j[1:] == j[:-1])))
+    later = np.concatenate(([True], (i[1:] > i[:-1]) | (same_row & (j[1:] > j[:-1]))))
+    for bad, need in ((~(np.isfinite(w) & (w >= 0)), "weight must be finite and >= 0"),
+                      (~((0 <= i) & (i < j) & (j < n)), f"indices must satisfy 0 <= i < j < N={n}"),
+                      (repeated, "edge (i, j) stored more than once"),
+                      (~later, "edges must be sorted row-major, by i then j")):
+        if bad.any():
+            at = np.argmax(bad)
+            raise ValueError(f"pool file corrupt: graph {index} triplet {at} "
+                             f"[{i[at]}, {j[at]}, {float(w[at])!r}]: {need}")
 
 
 def load_pool(path) -> GraphPool:
-    """Inverse of save_pool."""
+    """Inverse of save_pool, with read-only arrays.  Raises ValueError naming the cause for
+    a version other than 2, a header field missing or mistyped, M not the number of graphs,
+    no graph, a spec k above N - 1, a body size other than the nnz ask for, an edge that
+    ``_check_edges`` rejects, or a fingerprint other than the one of what was read."""
     where = "pool file corrupt"
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if json_field(doc, "version", int, where) != 1:
-        raise ValueError(f"unsupported pool file version: {doc['version']!r}")
+    with open(path, "rb") as fh:
+        data = fh.read()
+    line = data.find(b"\n") + 1 or len(data)
+    doc, body = json.loads(data[:line]), memoryview(data)[line:]
+    if json_field(doc, "version", int, where) != 2:
+        raise ValueError(f"unsupported pool file version {doc['version']!r}: this release "
+                         "reads version 2; build the pool again with `multigrank pool`")
     n = json_field(doc, "N", int, where)
     stored = json_field(doc, "graphs", list, where)
-    m = json_field(doc, "M", int, where)
-    if m != len(stored):
+    if (m := json_field(doc, "M", int, where)) != len(stored):
         raise ValueError(f"{where}: header M={m!r} but {len(stored)} graphs stored")
     if not stored:
         raise ValueError(f"{where}: no graphs stored")
+    sizes = [json_field(entry, "nnz", int, f"{where}: graph {index}")
+             for index, entry in enumerate(stored)]
+    need = 24 * sum(sizes)
+    if min(sizes) < 0 or len(body) != need:
+        raise ValueError(f"{where}: the header's nnz {sizes} ask for {need} body bytes, but "
+                         f"the file holds {len(body)}")
     graphs = []
-    for index, entry in enumerate(stored):
+    for index, (entry, nnz) in enumerate(zip(stored, sizes)):
         at = f"{where}: graph {index}"
         spec_doc = json_field(entry, "spec", dict, at)
-        spec = GraphSpec(
-            scheme=json_field(spec_doc, "scheme", str, f"{at} spec"),
-            k=json_field(spec_doc, "k", int, f"{at} spec"),
-            sigma=json_field(spec_doc, "sigma", float | None, f"{at} spec"),
-        )
+        spec = GraphSpec(*(json_field(spec_doc, key, hint, f"{at} spec") for key, hint
+                           in (("scheme", str), ("k", int), ("sigma", float | None))))
         if spec.k > n - 1:
             raise ValueError(f"{at} spec k={spec.k} exceeds N-1={n - 1}")
-        trip = json_field(entry, "triplets", list, at)
-        if len(trip) != json_field(entry, "nnz", int, at):
-            raise ValueError(f"{where}: triplet count differs from nnz")
-        graphs.append(BaseGraph(spec, n, *_triplet_arrays(index, n, trip)))
-    return GraphPool(graphs=tuple(graphs), fingerprint=json_field(doc, "fingerprint", str, where),
-                     dim=json_field(doc, "d", int, where))
+        arrays = [np.frombuffer(body[8 * nnz * k : 8 * nnz * (k + 1)], dtype)
+                  for k, dtype in enumerate(_EDGE_DTYPES)]
+        body = body[24 * nnz :]
+        _check_edges(index, n, *arrays)
+        graphs.append(BaseGraph(spec, n, *arrays))
+    pool = GraphPool(tuple(graphs), json_field(doc, "dataset_fingerprint", str, where),
+                     json_field(doc, "d", int, where))
+    if pool.fingerprint != json_field(doc, "fingerprint", str, where):
+        raise ValueError(f"{where}: fingerprint {doc['fingerprint']} does not match the "
+                         f"dataset fingerprint, N, d, specs and edges stored ({pool.fingerprint})")
+    return pool

@@ -459,12 +459,25 @@ def _frozen_factor(pool: GraphPool, mu: np.ndarray, alpha: float, ridge: float):
     return K, inv
 
 
+def check_pool(pool: GraphPool, ds: Dataset) -> None:
+    """Raise ValueError unless the pool was built from this dataset."""
+    if pool.dataset_fingerprint != dataset_fingerprint(ds):
+        raise ValueError(f"pool was built from dataset {pool.dataset_fingerprint}, not from "
+                         f"this one ({dataset_fingerprint(ds)}): fingerprint mismatch")
+
+
+def check_model(model: RankModel, pool: GraphPool) -> None:
+    """Raise ValueError unless the model was trained on this pool (``GraphPool.fingerprint``)."""
+    if model.pool_fingerprint != pool.fingerprint:
+        raise ValueError(f"model was trained against pool {model.pool_fingerprint}, not "
+                         f"against this one ({pool.fingerprint}): fingerprint mismatch")
+
+
 def _rank_extended(pool: GraphPool, mu: np.ndarray, ds: Dataset, x0, alpha: float,
                    ridge: float, query_id: str) -> RankedList:
     """Rank with the pool's graphs weighted by ``mu``; graphs of weight 0 are
     skipped, and the query is selected once per measure (``share_per_measure``)."""
-    if pool.fingerprint != dataset_fingerprint(ds):
-        raise ValueError("pool was built from a different dataset (fingerprint mismatch)")
+    check_pool(pool, ds)
     if len(mu) != pool.m:
         raise ValueError(f"model has {len(mu)} graph weights but the pool has {pool.m} graphs")
     active = np.flatnonzero(mu)
@@ -486,8 +499,7 @@ def rank_online(model: RankModel, pool: GraphPool, ds: Dataset, x0, *,
     model's own alpha and ridge, against the frozen database block and its
     inverse held on the pool (``grank_solve``).
     """
-    if model.pool_fingerprint != pool.fingerprint:
-        raise ValueError("model was trained against a different pool (fingerprint mismatch)")
+    check_model(model, pool)
     params = model.params
     return _rank_extended(pool, model.weights.mu, ds, x0, params.alpha, params.ridge, query_id)
 
@@ -518,7 +530,7 @@ def rank_pairwise_baseline(ds: Dataset, x0, query_id: str = "query") -> RankedLi
 def save_model(model: RankModel, path) -> None:
     """Persist the offline artifact consumed by online ranking."""
     doc = {
-        "version": 1,
+        "version": 2,
         "mu": [float(v) for v in model.weights.mu],
         "alpha": model.params.alpha,
         "beta": model.params.beta,
@@ -538,14 +550,15 @@ def load_model(path) -> RankModel:
     where = "model file corrupt"
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    if json_field(doc, "version", int, where) != 1:
-        raise ValueError(f"unsupported model file version: {doc['version']!r}")
+    if json_field(doc, "version", int, where) != 2:
+        raise ValueError(f"unsupported model file version {doc['version']!r}: this release "
+                         "reads version 2; train the model again with `multigrank train`")
     params = HyperParams(
         alpha=json_field(doc, "alpha", float, where),
         beta=json_field(doc, "beta", float, where),
         max_iters=json_field(doc, "T", int, where),
         ridge=json_field(doc, "ridge", float, where),
-        tol=json_field(doc, "tol", float, where) if "tol" in doc else 0.0,
+        tol=json_field(doc, "tol", float, where),
     )
     return RankModel(
         weights=GraphWeights(json_field(doc, "mu", tuple[float, ...], where)),

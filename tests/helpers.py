@@ -1,5 +1,7 @@
 """Small builders and oracles shared across test modules."""
 
+import json
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -146,3 +148,44 @@ def median_pairwise_distance_oracle(X) -> float:
         d2[pos : pos + n - 1 - i] = _sq_dist(X[i + 1 :], X[i])
         pos += n - 1 - i
     return float(np.median(np.sqrt(d2, out=d2), overwrite_input=True))
+
+
+def pool_v1_text(pool) -> str:
+    """The pool as earlier releases wrote it (file version 1): ``json.dumps``
+    of one document, the header and each graph's ``[i, j, w]`` triplets, with
+    the dataset's fingerprint standing as the pool's."""
+    doc = {"version": 1, "M": pool.m, "N": pool.n, "d": pool.dim,
+           "fingerprint": pool.dataset_fingerprint,
+           "graphs": [{"spec": {"scheme": g.spec.scheme, "k": g.spec.k, "sigma": g.spec.sigma},
+                       "nnz": int(g.i.size),
+                       "triplets": [[int(a), int(b), float(c)] for a, b, c in zip(g.i, g.j, g.w)]}
+                      for g in pool.graphs]}
+    return json.dumps(doc) + "\n"
+
+
+def read_pool_file(path):
+    """A version 2 pool file, read by its layout alone: the header line as a
+    dict, and each graph's ``[i, j, w]`` as writable arrays."""
+    with open(path, "rb") as fh:
+        head = json.loads(fh.readline())
+        body = fh.read()
+    edges, at = [], 0
+    for entry in head["graphs"]:
+        arrays = []
+        for dtype in ("<i8", "<i8", "<f8"):
+            arrays.append(np.frombuffer(body, dtype, entry["nnz"], at).copy())
+            at += 8 * entry["nnz"]
+        edges.append(arrays)
+    assert at == len(body)
+    return head, edges
+
+
+def write_pool_file(path, head, edges, tail=b"") -> None:
+    """Write a header and edge arrays in the version 2 layout, then ``tail``,
+    as they stand: nothing is checked or made to agree."""
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(head).encode() + b"\n")
+        for arrays in edges:
+            for array in arrays:
+                fh.write(array.tobytes())
+        fh.write(tail)

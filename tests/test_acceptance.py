@@ -229,7 +229,7 @@ def test_criterion_6_desk_scale_ranking_quality():
         )
         adv_sigma = median_pairwise_distance(db.feature_matrix)
         adversarial = knn_graph(shuffled, GraphSpec("gaussian", 5, adv_sigma))
-        pool_adv = GraphPool(pool.graphs + (adversarial,), pool.fingerprint, pool.dim)
+        pool_adv = GraphPool(pool.graphs + (adversarial,), pool.dataset_fingerprint, pool.dim)
         model_adv = train_offline(pool_adv, relevance, params)
         assert model_adv.weights.mu[-1] < 1.0 / pool_adv.m
     elapsed = time.perf_counter() - start
@@ -305,7 +305,7 @@ def _run_cli_pipeline(base):
     out = base / "out"
     db = out / "database.csv"
     queries = out / "queries.csv"
-    pool = out / "pool.json"
+    pool = out / "pool.bin"
     model = out / "model.json"
     steps = [
         ["gen", "--out", str(out), "--classes", "3", "--per-class", "8", "--dim", "6",

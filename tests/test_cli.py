@@ -5,13 +5,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from helpers import read_pool_file, write_pool_file
 
 import multigrank
 from multigrank import cli
 from multigrank.dataset import dataset_fingerprint, load_dataset
 from multigrank.graphs import load_pool
-from multigrank.ranker import grank_online, load_model
+from multigrank.ranker import check_model, check_pool, grank_online, load_model
 
 
 def read_tsv_scores(path):
@@ -26,7 +28,7 @@ def workspace(tmp_path):
     paths = {
         "db": out / "database.csv",
         "queries": out / "queries.csv",
-        "pool": out / "pool.json",
+        "pool": out / "pool.bin",
         "model": out / "model.json",
         "out": out,
     }
@@ -85,20 +87,50 @@ class TestPool:
         ]) == 0
         pool = load_pool(pool_path)
         assert pool.m == 14  # 4 schemes x 2 k + gaussian x 2 k x 3 sigma
-        assert pool.fingerprint == dataset_fingerprint(load_dataset(workspace["db"]))
+        assert pool.dataset_fingerprint == dataset_fingerprint(load_dataset(workspace["db"]))
 
     def test_fingerprint_mismatch_is_hard_error(self, tmp_path, workspace, capsys):
+        # the CLI reports the library's own check, for train as for rank
         other = tmp_path / "other"
         assert cli.main([
             "gen", "--out", str(other), "--classes", "3", "--per-class", "8",
             "--dim", "6", "--seed", "99",
         ]) == 0
-        rc = cli.main([
-            "train", "--out", str(other), "--dataset", str(other / "database.csv"),
-            "--pool", str(workspace["pool"]),
-        ])
-        assert rc == 1
-        assert "fingerprint" in capsys.readouterr().err
+        with pytest.raises(ValueError) as refused:
+            check_pool(load_pool(workspace["pool"]), load_dataset(other / "database.csv"))
+        assert "fingerprint mismatch" in str(refused.value)
+        capsys.readouterr()
+        common = ["--dataset", str(other / "database.csv"), "--pool", str(workspace["pool"]),
+                  "--model", str(workspace["model"])]
+        for cmd in (["train"], ["rank", "--queries", str(other / "queries.csv")]):
+            rc = cli.main(cmd + ["--out", str(other / cmd[0])] + common)
+            assert rc == 1
+            assert capsys.readouterr().err == f"error: {refused.value}\n"
+
+    def test_model_of_reordered_specs_is_refused(self, tmp_path, workspace, capsys):
+        # same data, same graphs, other order: the model's weights would land
+        # on the wrong graphs, for the multig arm and the grank arm alike
+        data = ["--dataset", str(workspace["db"])]
+        paths = {}
+        for name, schemes in (("gc", ["gaussian", "cosine"]), ("cg", ["cosine", "gaussian"])):
+            paths[name] = tmp_path / f"{name}.bin"
+            assert cli.main(["pool", "--out", str(tmp_path), "--pool", str(paths[name]),
+                             "--schemes", *schemes, "--k", "3", "--sigma-multipliers", "1.0"]
+                            + data) == 0
+        model = tmp_path / "gc_model.json"
+        assert cli.main(["train", "--out", str(tmp_path), "--pool", str(paths["gc"]),
+                         "--model", str(model), "--iters", "2"] + data) == 0
+        with pytest.raises(ValueError) as refused:
+            check_model(load_model(model), load_pool(paths["cg"]))
+        assert "fingerprint mismatch" in str(refused.value)
+        capsys.readouterr()
+        for arm in (["multig"], ["grank", "--graph", "1"]):
+            rc = cli.main(["rank", "--out", str(tmp_path / "r"), "--pool", str(paths["cg"]),
+                           "--model", str(model), "--queries", str(workspace["queries"]),
+                           "--baseline", *arm] + data)
+            assert rc == 1
+            assert capsys.readouterr().err == f"error: {refused.value}\n"
+        assert not (tmp_path / "r").exists()
 
 
 class TestTrain:
@@ -237,7 +269,7 @@ class TestExitCodes:
         )
         queries = tmp_path / "q.csv"
         queries.write_text("id,label,f1,f2\nq1,x,0.0,0.0\nq2,x,0.0,0.0\n")
-        pool = tmp_path / "pool.json"
+        pool = tmp_path / "pool.bin"
         model = tmp_path / "model.json"
         assert cli.main([
             "pool", "--out", str(tmp_path), "--dataset", str(db), "--pool", str(pool),
@@ -260,7 +292,7 @@ class TestExitCodes:
         rows = [f"{c}{i},{c},{1000.0 * (i + 1)},{500.0 * (3 - i)},{250.0 * i}"
                 for c in "xy" for i in range(3)]
         db.write_text("id,label,f1,f2,f3\n" + "\n".join(rows) + "\n")
-        pool = tmp_path / "pool.json"
+        pool = tmp_path / "pool.bin"
         assert cli.main([
             "pool", "--out", str(tmp_path), "--dataset", str(db), "--pool", str(pool),
             "--schemes", "dot_product", "--k", "2",
@@ -297,22 +329,22 @@ class TestExitCodes:
         assert "T must be an integer, got 2.7" in capsys.readouterr().err
 
     def test_corrupt_pool_exit_code(self, tmp_path, workspace, capsys):
-        doc = json.loads(workspace["pool"].read_text())
-        doc["graphs"][0]["triplets"][0][2] = -1.0
-        bad = tmp_path / "bad_pool.json"
-        bad.write_text(json.dumps(doc))
+        head, edges = read_pool_file(workspace["pool"])
+        edges[0][2][0] = -1.0
+        bad = tmp_path / "bad_pool.bin"
+        write_pool_file(bad, head, edges)
         common = ["--dataset", str(workspace["db"]), "--pool", str(bad),
                   "--model", str(workspace["model"])]
         for cmd in (["train"], ["rank", "--queries", str(workspace["queries"])]):
             rc = cli.main(cmd + ["--out", str(tmp_path / cmd[0])] + common)
             assert rc == 1
-            assert "graph 0 triplet" in capsys.readouterr().err
+            assert "graph 0 triplet 0" in capsys.readouterr().err
 
     def test_pool_k_past_n_exit_code(self, tmp_path, workspace, capsys):
-        doc = json.loads(workspace["pool"].read_text())
+        doc, edges = read_pool_file(workspace["pool"])
         doc["graphs"][0]["spec"]["k"] = doc["N"]
-        bad = tmp_path / "bad_pool.json"
-        bad.write_text(json.dumps(doc))
+        bad = tmp_path / "bad_pool.bin"
+        write_pool_file(bad, doc, edges)
         rc = cli.main([
             "rank", "--out", str(tmp_path / "r"), "--dataset", str(workspace["db"]),
             "--pool", str(bad), "--model", str(workspace["model"]),
@@ -323,25 +355,29 @@ class TestExitCodes:
         assert not (tmp_path / "r").exists()
 
     def test_malformed_file_fields_exit_code(self, tmp_path, workspace, capsys):
-        pool_doc = json.loads(workspace["pool"].read_text())
+        pool_doc, edges = read_pool_file(workspace["pool"])
         pool_doc["graphs"][0]["spec"]["k"] = "3"
-        huge_pool = json.loads(workspace["pool"].read_text())
-        huge_pool["graphs"][0]["triplets"][0][2] = 10**400
-        i, j, _ = huge_pool["graphs"][0]["triplets"][0]
+        nan_pool, nan_edges = read_pool_file(workspace["pool"])
+        nan_edges[0][2][0] = np.nan
+        i, j = nan_edges[0][0][0], nan_edges[0][1][0]
         model_doc = json.loads(workspace["model"].read_text())
         huge_model = dict(model_doc, alpha=10**400)
         del model_doc["alpha"]
         cases = [
-            ("pool", pool_doc, "pool file corrupt: graph 0 spec: k must be an integer, got '3'"),
-            ("pool", [pool_doc], "pool file corrupt: expected a JSON object, got list"),
-            ("pool", huge_pool, "pool file corrupt: graph 0 triplet "
-                                f"[{i}, {j}, {'1' + '0' * 19}... (401 digits)]: out of float range"),
+            ("pool", (pool_doc, edges),
+             "pool file corrupt: graph 0 spec: k must be an integer, got '3'"),
+            ("pool", ([pool_doc], edges), "pool file corrupt: expected a JSON object, got list"),
+            ("pool", (nan_pool, nan_edges), "pool file corrupt: graph 0 triplet 0 "
+                                            f"[{i}, {j}, nan]: weight must be finite and >= 0"),
             ("model", model_doc, "model file corrupt: missing field 'alpha'"),
             ("model", huge_model, f"model file corrupt: alpha must be a number, got {10**400}"),
         ]
         for key, doc, message in cases:
-            bad = tmp_path / f"bad_{key}.json"
-            bad.write_text(json.dumps(doc))
+            bad = tmp_path / f"bad_{key}"
+            if key == "pool":
+                write_pool_file(bad, *doc)
+            else:
+                bad.write_text(json.dumps(doc))
             files = {"pool": workspace["pool"], "model": workspace["model"], key: bad}
             rc = cli.main([
                 "rank", "--out", str(tmp_path / "r"), "--dataset", str(workspace["db"]),
@@ -362,7 +398,7 @@ class TestExitCodes:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "datasets are CSV" in err
-        assert not (tmp_path / "pool.json").exists()
+        assert not (tmp_path / "pool.bin").exists()
 
 
 class TestConfigFile:
@@ -422,17 +458,17 @@ class TestConfigFile:
 # weights spread over ten of the 14 graphs (beta 1000), ranked the same way
 _WALKTHROUGH = [
     "gen --out run --classes 5 --per-class 40 --dim 32 --seed 7",
-    "pool --out run --dataset run/database.csv --pool run/pool.json --k 5 10"
+    "pool --out run --dataset run/database.csv --pool run/pool.bin --k 5 10"
     " --sigma-multipliers 0.5 1.0 2.0",
-    "train --out run --dataset run/database.csv --pool run/pool.json --model run/model.json"
+    "train --out run --dataset run/database.csv --pool run/pool.bin --model run/model.json"
     " --level 1",
-    "rank --out run/ranks --dataset run/database.csv --pool run/pool.json"
+    "rank --out run/ranks --dataset run/database.csv --pool run/pool.bin"
     " --model run/model.json --queries run/queries.csv",
-    "train --out run --dataset run/database.csv --pool run/pool.json --model run/spread.json"
+    "train --out run --dataset run/database.csv --pool run/pool.bin --model run/spread.json"
     " --level 1 --beta 1000",
-    "rank --out run/spread --dataset run/database.csv --pool run/pool.json"
+    "rank --out run/spread --dataset run/database.csv --pool run/pool.bin"
     " --model run/spread.json --queries run/queries.csv",
-    "eval --out run/eval --dataset run/database.csv --pool run/pool.json"
+    "eval --out run/eval --dataset run/database.csv --pool run/pool.bin"
     " --model run/model.json --queries run/queries.csv --level 1",
 ]
 

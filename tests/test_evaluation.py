@@ -245,7 +245,7 @@ def test_curves_svg_emitter(tmp_path):
 
 
 _CLI = "from multigrank import cli; assert cli.main({argv!r} + ['--out', '.']) == 0"
-_DATA = ["--dataset", "database.csv", "--pool", "pool.json"]
+_DATA = ["--dataset", "database.csv", "--pool", "pool.bin"]
 
 # what a fresh process runs, in order and in one working directory, and the
 # modules it must not load

@@ -1,8 +1,13 @@
 import contextlib
 import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -17,8 +22,11 @@ from helpers import (
     knn_graph_oracle,
     laplacian_oracle,
     median_pairwise_distance_oracle,
+    pool_v1_text,
     query_edges,
+    read_pool_file,
     star_laplacian_dense,
+    write_pool_file,
 )
 
 import multigrank.graphs as graphs
@@ -563,191 +571,268 @@ class TestPool:
         assert clamped == ({"dot_product", "cosine", "tanimoto"} if case == "negative" else set())
 
     def test_default_pool_bytes_golden(self, tmp_path):
-        # sha256 of the bytes written when every spec ran its own full stable
-        # argsort (numpy 2.4.6, x86-64); rows repeat and small-integer rows
-        # tie, so any change to the tie-break or the k slicing shows here
+        # sha256 of the version 1 text when every spec ran its own full stable
+        # argsort (numpy 2.4.6, x86-64), rendered from today's arrays, and of
+        # the version 2 file; rows repeat and small-integer rows tie, so any
+        # change to the tie-break or the k slicing shows here
         ds = default_golden_dataset()
-        path = tmp_path / "pool.json"
-        save_pool(build_pool(ds, default_spec_grid(ds)), path)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        pool = build_pool(ds, default_spec_grid(ds))
+        assert hashlib.sha256(pool_v1_text(pool).encode()).hexdigest() == (
             "62297abdfa4860fa8830497cd90ff42f0169887ec2094c0bb78f0d1b7135283e"
+        )
+        path = tmp_path / "pool.bin"
+        save_pool(pool, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "d824f61cd02379f5fa06222d4d8938930201b8ef8d4bd1fa6b060b1813f0c52c"
         )
 
     def test_benchmark_scale_pool_bytes_golden(self, tmp_path):
-        # sha256 of the bytes written by the exhaustive neighbour scan (numpy
-        # 2.4.6, x86-64) at N=600, d=32, the default grid: every measure's
+        # sha256 of the version 1 text written by the exhaustive neighbour
+        # scan (numpy 2.4.6, x86-64) at N=600, d=32, the default grid, rendered
+        # from today's arrays, and of the version 2 file: every measure's
         # selection runs on many row blocks with real gaps between keys
         ds = benchmark_golden_dataset()
-        path = tmp_path / "pool.json"
-        save_pool(build_pool(ds, default_spec_grid(ds)), path)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        pool = build_pool(ds, default_spec_grid(ds))
+        assert hashlib.sha256(pool_v1_text(pool).encode()).hexdigest() == (
             "92115eca7ebd82f07c385adc9c446b18e835a1e300c4e2c60a6a4cdc629d0bee"
+        )
+        path = tmp_path / "pool.bin"
+        save_pool(pool, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "6488eb5b5bd49288e2c31f5a7e30d69f758b5e0066209b95b1f7ccec55171c3d"
         )
 
     def test_round_trip(self, tmp_path):
+        # a graph with no edge included; the format is read from the bytes,
+        # whatever the file's suffix
         ds = generate_synthetic(3, 5, 4, 1.0, 6.0, 3)
         pool = build_pool(ds, default_spec_grid(ds, k_values=(3,), sigma_multipliers=(1.0, 2.0)))
-        path = tmp_path / "pool.json"
-        save_pool(pool, path)
-        back = load_pool(path)
-        assert back.m == pool.m and back.fingerprint == pool.fingerprint and back.dim == pool.dim
-        for g_old, g_new in zip(pool.graphs, back.graphs):
-            assert g_old.spec == g_new.spec
-            assert np.array_equal(g_old.weights.toarray(), g_new.weights.toarray())
-            for name in ("i", "j", "w"):
-                old, new = getattr(g_old, name), getattr(g_new, name)
-                assert old.dtype == new.dtype and old.tobytes() == new.tobytes()
+        no_edges = np.empty(0, dtype=np.int64)
+        lonely = BaseGraph(spec_for("tanimoto", 1), ds.n, no_edges, no_edges, np.empty(0))
+        pool = GraphPool(pool.graphs[:2] + (lonely,) + pool.graphs[2:],
+                         pool.dataset_fingerprint, pool.dim)
+        for name in ("pool.bin", "pool.json"):
+            save_pool(pool, tmp_path / name)
+            back = load_pool(tmp_path / name)
+            assert (back.m, back.dim, back.dataset_fingerprint, back.fingerprint) == (
+                pool.m, pool.dim, pool.dataset_fingerprint, pool.fingerprint)
+            for g_old, g_new in zip(pool.graphs, back.graphs):
+                assert g_old.spec == g_new.spec
+                assert np.array_equal(g_old.weights.toarray(), g_new.weights.toarray())
+                for name in ("i", "j", "w"):
+                    old, new = getattr(g_old, name), getattr(g_new, name)
+                    assert old.dtype == new.dtype and old.tobytes() == new.tobytes()
 
-    def test_streamed_bytes_match_one_document(self, tmp_path, monkeypatch):
-        # blocks of 3 triplets, so graphs end inside and at a block's end,
-        # and a graph with no edge: the bytes are json.dumps of the whole
-        # document, as one string
-        import json
-
+    def test_streamed_bytes_match_one_document(self, tmp_path):
+        # the arrays are written one at a time; the file is the header line
+        # and every graph's i, j and w, a graph with no edge included, as one
+        # document assembled at once would hold them
         ds = generate_synthetic(2, 4, 3, 1.0, 4.0, 1)
         pool = build_pool(ds, [spec_for("gaussian", 1), spec_for("cosine", 2),
                                spec_for("jaccard", 3)])
         no_edges = np.empty(0, dtype=np.int64)
         lonely = BaseGraph(spec_for("tanimoto", 1), ds.n, no_edges, no_edges, np.empty(0))
-        pool = GraphPool(pool.graphs[:2] + (lonely,) + pool.graphs[2:], pool.fingerprint, pool.dim)
-        doc = {"version": 1, "M": pool.m, "N": pool.n, "d": pool.dim,
-               "fingerprint": pool.fingerprint,
-               "graphs": [{"spec": {"scheme": g.spec.scheme, "k": g.spec.k, "sigma": g.spec.sigma},
-                           "nnz": int(g.i.size),
-                           "triplets": [[int(a), int(b), float(c)]
-                                        for a, b, c in zip(g.i, g.j, g.w)]}
-                          for g in pool.graphs]}
-        assert 0 in {g.i.size % 3 for g in pool.graphs if g.i.size}
-        assert {g.i.size % 3 for g in pool.graphs} != {0}
-        path = tmp_path / "pool.json"
-        for block in (3, graphs._SAVE_BLOCK):
-            monkeypatch.setattr(graphs, "_SAVE_BLOCK", block)
-            save_pool(pool, path)
-            assert path.read_text(encoding="utf-8") == json.dumps(doc) + "\n"
-        assert [g.i.size for g in load_pool(path).graphs] == [g.i.size for g in pool.graphs]
+        pool = GraphPool(pool.graphs[:2] + (lonely,) + pool.graphs[2:],
+                         pool.dataset_fingerprint, pool.dim)
+        head = {"version": 2, "M": pool.m, "N": pool.n, "d": pool.dim,
+                "dataset_fingerprint": pool.dataset_fingerprint, "fingerprint": pool.fingerprint,
+                "graphs": [{"spec": {"scheme": g.spec.scheme, "k": g.spec.k,
+                                     "sigma": g.spec.sigma}, "nnz": int(g.i.size)}
+                           for g in pool.graphs]}
+        body = b"".join(g.i.astype("<i8").tobytes() + g.j.astype("<i8").tobytes()
+                        + g.w.astype("<f8").tobytes() for g in pool.graphs)
+        save_pool(pool, tmp_path / "pool.bin")
+        assert (tmp_path / "pool.bin").read_bytes() == json.dumps(head).encode() + b"\n" + body
+        assert [g.i.size for g in load_pool(tmp_path / "pool.bin").graphs] == [
+            g.i.size for g in pool.graphs]
 
     def test_save_holds_one_block_of_triplets(self, tmp_path):
-        # 83k edges at N=1000: as one document, the triplets and its text
-        # take 17 MB of Python objects; a block of them takes 3.4 MB
+        # 83k edges at N=1000, 2.0 MB as arrays: the arrays are written as
+        # they are held, with no copy of them, let alone of the whole file
         ds = generate_synthetic(5, 200, 32, 1.0, 5.0, 0)
         pool = build_pool(ds, default_spec_grid(ds))
+        assert pool.fingerprint  # hashed on first use, not part of the write
         tracemalloc.start()
         try:
-            save_pool(pool, tmp_path / "pool.json")
+            save_pool(pool, tmp_path / "pool.bin")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8e6
+        assert peak < 0.1 * sum(a.nbytes for g in pool.graphs for a in (g.i, g.j, g.w))
 
-    def test_shuffled_triplets_load_sorted(self, tmp_path):
-        import json
+    def test_fingerprint_binds_specs_and_edges(self):
+        # the dataset's fingerprint, the spec order and every edge byte count
+        ds = generate_synthetic(2, 5, 3, 1.0, 4.0, 0)
+        specs = [spec_for("gaussian", 2), spec_for("cosine", 3)]
+        pool = build_pool(ds, specs)
+        assert pool.fingerprint != pool.dataset_fingerprint
+        assert build_pool(ds, specs).fingerprint == pool.fingerprint
+        assert build_pool(ds, specs[::-1]).fingerprint != pool.fingerprint
+        g = pool.graphs[1]
+        nudged = BaseGraph(g.spec, g.n, g.i, g.j, g.w + np.eye(1, g.w.size)[0] * 2.0**-40)
+        variants = [GraphPool((pool.graphs[0], nudged), pool.dataset_fingerprint, pool.dim),
+                    GraphPool(pool.graphs, "another dataset", pool.dim),
+                    GraphPool(pool.graphs, pool.dataset_fingerprint, pool.dim + 1),
+                    GraphPool(pool.graphs[:1], pool.dataset_fingerprint, pool.dim)]
+        assert len({pool.fingerprint} | {v.fingerprint for v in variants}) == 5
 
-        ds = generate_synthetic(3, 5, 4, 1.0, 6.0, 3)
-        path = tmp_path / "pool.json"
-        save_pool(build_pool(ds, default_spec_grid(ds, k_values=(3,))), path)
-        doc = json.loads(path.read_text())
-        rng = np.random.default_rng(0)
-        for entry in doc["graphs"]:
-            rng.shuffle(entry["triplets"])
-        shuffled = tmp_path / "shuffled.json"
-        shuffled.write_text(json.dumps(doc))
-        assert shuffled.read_bytes() != path.read_bytes()
-        for g_sorted, g_shuffled in zip(load_pool(path).graphs, load_pool(shuffled).graphs):
-            for name in ("i", "j", "w"):
-                a, b = getattr(g_sorted, name), getattr(g_shuffled, name)
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-        save_pool(load_pool(shuffled), tmp_path / "again.json")
-        assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+    def test_load_peak_stays_near_the_array_bytes(self, tmp_path):
+        # 83k edges at N=1000 take 2.0 MB as arrays; reading and checking
+        # them adds a few bytes per edge of one graph, not a Python object
+        # per number (the JSON triplets of version 1 peaked near 9x)
+        ds = generate_synthetic(5, 200, 32, 1.0, 5.0, 0)
+        path = tmp_path / "pool.bin"
+        save_pool(build_pool(ds, default_spec_grid(ds)), path)
+        tracemalloc.start()
+        try:
+            pool = load_pool(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arrays = sum(a.nbytes for g in pool.graphs for a in (g.i, g.j, g.w))
+        assert arrays > 1.9e6
+        assert peak < 1.25 * arrays
 
     def test_file_stores_upper_triplets(self, tmp_path):
-        import json
-
         ds = generate_synthetic(2, 4, 3, 1.0, 4.0, 0)
-        pool = build_pool(ds, [spec_for("gaussian", 2)])
-        save_pool(pool, tmp_path / "pool.json")
-        doc = json.loads((tmp_path / "pool.json").read_text())
-        assert {"version", "M", "N", "d", "fingerprint", "graphs"} <= set(doc)
-        for entry in doc["graphs"]:
-            assert entry["nnz"] == len(entry["triplets"])
-            assert all(i < j for i, j, _ in entry["triplets"])
+        pool = build_pool(ds, [spec_for("gaussian", 2), spec_for("jaccard", 3)])
+        save_pool(pool, tmp_path / "pool.bin")
+        head, edges = read_pool_file(tmp_path / "pool.bin")
+        assert head == {"version": 2, "M": 2, "N": ds.n, "d": ds.dim,
+                        "dataset_fingerprint": pool.dataset_fingerprint,
+                        "fingerprint": pool.fingerprint,
+                        "graphs": [{"spec": {"scheme": g.spec.scheme, "k": g.spec.k,
+                                             "sigma": g.spec.sigma}, "nnz": int(g.i.size)}
+                                   for g in pool.graphs]}
+        for graph, (i, j, w) in zip(pool.graphs, edges):
+            assert (i < j).all() and np.array_equal(i, graph.i) and np.array_equal(j, graph.j)
+            assert w.tobytes() == graph.w.tobytes()
+
+    def test_load_reads_a_pipe(self, tmp_path):
+        # the body is measured from the bytes read, not from the file system
+        ds = generate_synthetic(2, 5, 3, 1.0, 4.0, 0)
+        pool = build_pool(ds, [spec_for("gaussian", 2), spec_for("cosine", 3)])
+        save_pool(pool, tmp_path / "pool.bin")
+        code = "from multigrank.graphs import load_pool; print(load_pool('/dev/stdin').fingerprint)"
+        env = dict(os.environ, PYTHONPATH=str(Path(graphs.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              input=(tmp_path / "pool.bin").read_bytes())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.decode().split() == [pool.fingerprint]
+
+    def test_version_1_file_is_refused(self, tmp_path):
+        ds = generate_synthetic(2, 5, 3, 1.0, 4.0, 0)
+        path = tmp_path / "pool.json"
+        path.write_text(pool_v1_text(build_pool(ds, [spec_for("cosine", 3)])))
+        with pytest.raises(ValueError, match=r"unsupported pool file version 1: .*version 2"):
+            load_pool(path)
 
 
-def _corrupt_negative_weight(doc):
-    doc["graphs"][0]["triplets"][0][2] = -0.5
+def _corrupt_negative_weight(head, edges):
+    edges[0][2][0] = -0.5
 
 
-def _corrupt_nan_weight(doc):
-    doc["graphs"][1]["triplets"][2][2] = float("nan")
+def _corrupt_nan_weight(head, edges):
+    edges[1][2][2] = np.nan
 
 
-def _corrupt_self_loop(doc):
-    doc["graphs"][0]["triplets"][1][1] = doc["graphs"][0]["triplets"][1][0]
+def _corrupt_self_loop(head, edges):
+    edges[0][1][1] = edges[0][0][1]
 
 
-def _corrupt_lower_triangle(doc):
-    i, j, _ = doc["graphs"][1]["triplets"][0]
-    doc["graphs"][1]["triplets"][0][:2] = [j, i]
+def _corrupt_lower_triangle(head, edges):
+    i, j, _ = edges[1]
+    i[0], j[0] = j[0], i[0]
 
 
-def _corrupt_index_past_n(doc):
-    doc["graphs"][0]["triplets"][-1][1] = doc["N"]
+def _corrupt_index_past_n(head, edges):
+    edges[0][1][-1] = head["N"]
 
 
-def _corrupt_fractional_index(doc):
-    doc["graphs"][1]["triplets"][3][0] += 0.5
+def _corrupt_duplicate_edge(head, edges):
+    for array in edges[0]:
+        array[1] = array[0]
 
 
-def _corrupt_duplicate_edge(doc):
-    trip = doc["graphs"][0]["triplets"]
-    trip[-1] = list(trip[0])
+def _corrupt_unsorted_edges(head, edges):
+    for array in edges[1]:
+        array[[0, 1]] = array[[1, 0]]
 
 
-def _corrupt_graph_count(doc):
-    doc["M"] = 99
+def _corrupt_truncated_body(head, edges):
+    edges[1][2] = edges[1][2][:-1]
 
 
-def _corrupt_short_triplet(doc):
-    doc["graphs"][1]["triplets"][2] = doc["graphs"][1]["triplets"][2][:2]
+def _corrupt_trailing_bytes(head, edges):
+    return b"\0" * 8
 
 
-def _corrupt_k_past_n(doc):
-    doc["graphs"][1]["spec"]["k"] = doc["N"]
+def _corrupt_nnz_too_large(head, edges):
+    head["graphs"][0]["nnz"] += 1
 
 
-def _corrupt_fractional_k(doc):
-    doc["graphs"][0]["spec"]["k"] = 2.7
+def _corrupt_nnz_too_small(head, edges):
+    head["graphs"][1]["nnz"] -= 1
 
 
-def _corrupt_string_k(doc):
-    doc["graphs"][1]["spec"]["k"] = "3"
+def _corrupt_negative_nnz(head, edges):
+    head["graphs"][1]["nnz"] = -1
 
 
-def _corrupt_string_sigma(doc):
-    doc["graphs"][0]["spec"]["sigma"] = "x"
+def _corrupt_fingerprint(head, edges):
+    head["fingerprint"] = "0" * 16
 
 
-def _corrupt_missing_n(doc):
-    del doc["N"]
+def _corrupt_changed_weight(head, edges):
+    edges[1][2][0] += 0.25
 
 
-def _corrupt_missing_spec(doc):
-    del doc["graphs"][1]["spec"]
+def _corrupt_n(head, edges):
+    head["N"] += 1
 
 
-def _corrupt_no_graphs(doc):
-    doc["M"], doc["graphs"] = 0, []
+def _corrupt_d(head, edges):
+    head["d"] -= 1
 
 
-def _corrupt_overflowing_weight(doc):
-    doc["graphs"][0]["triplets"][0][2] = 10**400
+def _corrupt_version_1(head, edges):
+    head["version"] = 1
 
 
-def _corrupt_overflowing_index(doc):
-    doc["graphs"][1]["triplets"][0][0] = -(10**400)
+def _corrupt_numeric_dataset_fingerprint(head, edges):
+    head["dataset_fingerprint"] = 7
 
 
-def _corrupt_overflowing_string_triplet(doc):
-    doc["graphs"][0]["triplets"][0] = [0, "1", 10**400]
+def _corrupt_graph_count(head, edges):
+    head["M"] = 99
+
+
+def _corrupt_k_past_n(head, edges):
+    head["graphs"][1]["spec"]["k"] = head["N"]
+
+
+def _corrupt_fractional_k(head, edges):
+    head["graphs"][0]["spec"]["k"] = 2.7
+
+
+def _corrupt_string_k(head, edges):
+    head["graphs"][1]["spec"]["k"] = "3"
+
+
+def _corrupt_string_sigma(head, edges):
+    head["graphs"][0]["spec"]["sigma"] = "x"
+
+
+def _corrupt_missing_n(head, edges):
+    del head["N"]
+
+
+def _corrupt_missing_spec(head, edges):
+    del head["graphs"][1]["spec"]
+
+
+def _corrupt_no_graphs(head, edges):
+    head["M"], head["graphs"] = 0, []
 
 
 @pytest.mark.parametrize(
@@ -758,10 +843,22 @@ def _corrupt_overflowing_string_triplet(doc):
         (_corrupt_self_loop, r"graph 0 triplet .*0 <= i < j < N"),
         (_corrupt_lower_triangle, r"graph 1 triplet .*0 <= i < j < N"),
         (_corrupt_index_past_n, r"graph 0 triplet .*0 <= i < j < N=10"),
-        (_corrupt_fractional_index, r"graph 1 triplet .*\.5, .*must be integers"),
         (_corrupt_duplicate_edge, r"graph 0 triplet .*more than once"),
+        (_corrupt_unsorted_edges,
+         r"graph 1 triplet 1 \[\d+, \d+, [\d.e-]+\]: edges must be sorted row-major"),
+        (_corrupt_truncated_body, r"nnz \[13, 19\] ask for 768 body bytes, but the file holds 760$"),
+        (_corrupt_trailing_bytes, r"nnz \[13, 19\] ask for 768 body bytes, but the file holds 776$"),
+        (_corrupt_nnz_too_large, r"nnz \[14, 19\] ask for 792 body bytes, but the file holds 768$"),
+        (_corrupt_nnz_too_small, r"nnz \[13, 18\] ask for 744 body bytes, but the file holds 768$"),
+        (_corrupt_negative_nnz, r"nnz \[13, -1\] ask for 288 body bytes, but the file holds 768$"),
+        (_corrupt_fingerprint, r"fingerprint 0{16} does not match the dataset fingerprint, N, d,"),
+        (_corrupt_changed_weight,
+         r"fingerprint [0-9a-f]{16} does not match the dataset fingerprint, N, d,"),
+        (_corrupt_n, r"fingerprint [0-9a-f]{16} does not match the dataset fingerprint, N, d,"),
+        (_corrupt_d, r"fingerprint [0-9a-f]{16} does not match the dataset fingerprint, N, d,"),
+        (_corrupt_version_1, r"unsupported pool file version 1: this release reads version 2"),
+        (_corrupt_numeric_dataset_fingerprint, r"dataset_fingerprint must be a string, got 7$"),
         (_corrupt_graph_count, r"header M=99 but 2 graphs"),
-        (_corrupt_short_triplet, r"graph 1 triplet \[\d+, \d+\]: expected \[i, j, weight\]"),
         (_corrupt_k_past_n, r"graph 1 spec k=10 exceeds N-1=9"),
         (_corrupt_fractional_k, r"graph 0 spec: k must be an integer, got 2\.7"),
         (_corrupt_string_k, r"graph 1 spec: k must be an integer, got '3'"),
@@ -769,23 +866,15 @@ def _corrupt_overflowing_string_triplet(doc):
         (_corrupt_missing_n, r"pool file corrupt: missing field 'N'"),
         (_corrupt_missing_spec, r"graph 1: missing field 'spec'"),
         (_corrupt_no_graphs, r"pool file corrupt: no graphs stored"),
-        (_corrupt_overflowing_weight,
-         r"graph 0 triplet \[\d+, \d+, 10{19}\.\.\. \(401 digits\)\]: out of float range$"),
-        (_corrupt_overflowing_index,
-         r"graph 1 triplet \[-10{18}\.\.\. \(401 digits\), \d+, [\d.e-]+\]: out of float range$"),
-        (_corrupt_overflowing_string_triplet,
-         r"graph 0 triplet \[0, '1', 10{19}\.\.\. \(401 digits\)\]: expected \[i, j, weight\]$"),
     ],
 )
 def test_load_pool_rejects_corrupt_file(tmp_path, corrupt, message):
-    import json
-
     ds = generate_synthetic(2, 5, 3, 1.0, 4.0, 0)
-    path = tmp_path / "pool.json"
+    path = tmp_path / "pool.bin"
     save_pool(build_pool(ds, [spec_for("gaussian", 2), spec_for("cosine", 3)]), path)
-    doc = json.loads(path.read_text())
-    corrupt(doc)
-    path.write_text(json.dumps(doc))
+    head, edges = read_pool_file(path)
+    tail = corrupt(head, edges)
+    write_pool_file(path, head, edges, tail or b"")
     with pytest.raises(ValueError, match=message):
         load_pool(path)
 

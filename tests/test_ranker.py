@@ -303,7 +303,7 @@ class TestTrainOffline:
         spec = GraphSpec("gaussian", 3, 2.0)
         pool = GraphPool(
             graphs=(knn_graph(ds, spec), knn_graph(shuffled, spec)),
-            fingerprint="test",
+            dataset_fingerprint="test",
             dim=ds.dim,
         )
         model = train_offline(pool, relevance_matrix(ds, 1), HyperParams(max_iters=10))
@@ -455,7 +455,7 @@ class TestRankOnline:
         def refuse(*args, **kwargs):
             raise AssertionError("a graph or Laplacian built, or a direct solve, at query time")
 
-        fresh = GraphPool(pool.graphs, pool.fingerprint, pool.dim)
+        fresh = GraphPool(pool.graphs, pool.dataset_fingerprint, pool.dim)
         monkeypatch.setattr(BaseGraph, "weights", property(refuse))
         refuse_direct_solve(monkeypatch)
         for p in (pool, fresh):
@@ -530,6 +530,17 @@ class TestRankOnline:
         with pytest.raises(ValueError, match="fingerprint"):
             rank_online(model, pool, other, other.records[0].features)
 
+    def test_model_of_reordered_specs_rejected(self):
+        # one dataset, the same two graphs in the other order: the pool's
+        # fingerprint covers the spec order, so the model's weights cannot
+        # land on the wrong graphs
+        ds, pool = small_pool(m_specs=[GraphSpec("gaussian", 2, 1.5), GraphSpec("cosine", 2)])
+        swapped = build_pool(ds, [GraphSpec("cosine", 2), GraphSpec("gaussian", 2, 1.5)])
+        assert swapped.dataset_fingerprint == pool.dataset_fingerprint
+        model = train_offline(pool, relevance_matrix(ds, 1), HyperParams(max_iters=2))
+        with pytest.raises(ValueError, match="trained against pool .*fingerprint mismatch"):
+            rank_online(model, swapped, ds, ds.records[0].features)
+
     def test_graph_count_mismatch_rejected(self):
         specs = [GraphSpec("gaussian", 2, 1.5), GraphSpec("cosine", 2), GraphSpec("tanimoto", 2)]
         ds, pool = small_pool(m_specs=specs)
@@ -541,8 +552,8 @@ class TestRankOnline:
         ds, pool = small_pool()
         params = HyperParams()
         ranked = grank_online(pool, 1, ds, ds.records[0].features, params)
-        solo_pool = GraphPool((pool.graphs[1],), pool.fingerprint, pool.dim)
-        model = RankModel(GraphWeights(np.array([1.0])), params, pool.fingerprint, [])
+        solo_pool = GraphPool((pool.graphs[1],), pool.dataset_fingerprint, pool.dim)
+        model = RankModel(GraphWeights(np.array([1.0])), params, solo_pool.fingerprint, [])
         expected = rank_online(model, solo_pool, ds, ds.records[0].features)
         assert np.array_equal(ranked.scores, expected.scores)
         with pytest.raises(ValueError, match="index"):
@@ -673,9 +684,8 @@ class TestFrozenFactor:
             lambda p, x: grank_online(p, 0, ds, x, params),
         ]
         queries = [cluster_query(rng, 0) for _ in range(3)]
-        expected = [
-            [arm(GraphPool(pool.graphs, fp, pool.dim), x).scores for x in queries] for arm in arms
-        ]
+        expected = [[arm(GraphPool(pool.graphs, pool.dataset_fingerprint, pool.dim), x).scores
+                     for x in queries] for arm in arms]
 
         def arrays_in(value):
             if isinstance(value, tuple):
@@ -1070,9 +1080,9 @@ def test_save_load_keeps_rankings_bit_for_bit(seed, n, dim, specs, alpha, ridge)
     params = HyperParams(alpha=alpha, ridge=ridge, max_iters=3)
     model = train_offline(pool, relevance_matrix(ds, 1), params)
     with tempfile.TemporaryDirectory() as tmp:
-        save_pool(pool, f"{tmp}/pool.json")
+        save_pool(pool, f"{tmp}/pool.bin")
         save_model(model, f"{tmp}/model.json")
-        pool_back, model_back = load_pool(f"{tmp}/pool.json"), load_model(f"{tmp}/model.json")
+        pool_back, model_back = load_pool(f"{tmp}/pool.bin"), load_model(f"{tmp}/model.json")
     for x0 in (*rng.uniform(0.1, 3.0, size=(3, dim)), ds.records[0].features):
         pairs = [(rank_online(model, pool, ds, x0), rank_online(model_back, pool_back, ds, x0))]
         pairs += [(grank_online(pool, g, ds, x0, params),
@@ -1131,6 +1141,8 @@ def _with(key, value):
         (_with("pool_fingerprint", 7), r"pool_fingerprint must be a string, got 7"),
         (_with("objective_trace", "1.0"), r"objective_trace must be a list of numbers, got '1.0'"),
         (_with("alpha", 10**400), r"alpha must be a number, got 10{400}$"),
+        (_with("version", 1), r"unsupported model file version 1: this release reads version 2"),
+        (_without("tol"), r"missing field 'tol'"),
     ],
 )
 def test_load_model_rejects_malformed_fields(tmp_path, edit, message):
