@@ -21,6 +21,7 @@ from pathlib import Path
 from .dataset import (
     dataset_fingerprint,
     generate_synthetic,
+    json_document,
     json_fits,
     load_dataset,
     relevance_matrix,
@@ -297,8 +298,8 @@ def _merge_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     raw = vars(args)
     if raw.get("config"):
-        with open(raw["config"], encoding="utf-8") as fh:
-            doc = json.load(fh)
+        with open(raw["config"], "rb") as fh:
+            doc = json_document(fh.read(), f"config file {raw['config']}")
         if not isinstance(doc, dict):
             raise ValueError("config file must hold a JSON object")
         unknown = sorted(set(doc) - _CONFIG_FIELDS)

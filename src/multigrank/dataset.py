@@ -3,14 +3,15 @@
 A dataset is an ordered list of records, each carrying a string id, a
 hierarchical label path (e.g. ``("c.1", "c.1.12", "c.1.12.7")``) and a fixed-
 dimension feature vector.  Dataset files are CSV, ``id,label,f1,...,fd``,
-with ``/`` as the level separator of labels.  The JSON helpers here check the
-fields of the pool, model and config files.
+with ``/`` as the level separator of labels.  The JSON helpers here parse the
+pool, model and config files and check their fields.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import json
 import types
 import typing
 from dataclasses import dataclass
@@ -173,6 +174,15 @@ def json_fits(value, hint) -> bool:
 _HINT_NAMES = {int: "an integer", float: "a number", float | None: "a number or null",
                str: "a string", list: "a list", dict: "an object",
                tuple[float, ...]: "a list of numbers"}
+
+
+def json_document(data: bytes, where: str):
+    """The JSON document in UTF-8 ``data``; a decode error is raised as
+    ValueError ``{where} is not JSON (cause)``, ``where`` naming the file."""
+    try:
+        return json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"{where} is not JSON ({exc})") from None
 
 
 def json_field(doc, key: str, hint, where: str):

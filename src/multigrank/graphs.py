@@ -12,7 +12,8 @@ forms that selection's union edges once with each edge's exact selection key
 (``knn_edges``).  Each graph takes its share of those edges and weighs them
 from the keys, the same numbers ``edge_weight`` gives for the pairs; only
 dot_product, which selects by squared distance, weighs its edges from the
-features again.
+features again.  A query's edges are weighed by the same rule, from the keys
+of its own selection (``query_neighbors``).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .dataset import Dataset, dataset_fingerprint, json_field
+from .dataset import Dataset, dataset_fingerprint, json_document, json_field
 from .specs import K_VALUES, SCHEMES, SIGMA_MULTIPLIERS, GraphSpec
 
 # how the pool file stores each graph's i, j and w
@@ -57,22 +58,13 @@ class BaseGraph:
 
 @dataclass(frozen=True, eq=False)
 class EdgeTable:
-    """Every pooled graph's weights over the union of their edges.
-
-    Edge e joins ``i[e] < j[e]``; ``weights[e, m]`` is graph m's weight on it,
-    0 where graph m lacks the edge.  ``indptr`` and ``indices`` are the CSR
-    pattern of a symmetric N x N matrix with a diagonal and both directions
-    of every edge, and ``order`` takes ``concat(diagonal, upper, lower)``
-    values, with ``upper`` and ``lower`` in edge order, to that pattern's
-    data.
-    """
+    """Every pooled graph's weights over the union of their edges: edge e joins
+    ``i[e] < j[e]``, and ``weights[e, m]`` is graph m's weight on it, 0 where
+    graph m lacks the edge."""
 
     i: np.ndarray
     j: np.ndarray
     weights: np.ndarray
-    indptr: np.ndarray
-    indices: np.ndarray
-    order: np.ndarray
 
     @classmethod
     def from_graphs(cls, graphs, n: int) -> "EdgeTable":
@@ -81,13 +73,7 @@ class EdgeTable:
         weights = np.zeros((union.size, len(graphs)))
         graph_of = np.repeat(np.arange(len(graphs)), [graph.i.size for graph in graphs])
         weights[edge_of, graph_of] = np.concatenate([graph.w for graph in graphs])
-        i, j = np.divmod(union, n)
-        nodes = np.arange(n)
-        rows = np.concatenate([nodes, i, j])
-        cols = np.concatenate([nodes, j, i])
-        order = np.lexsort((cols, rows))
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
-        return cls(i=i, j=j, weights=weights, indptr=indptr, indices=cols[order], order=order)
+        return cls(*np.divmod(union, n), weights)
 
 
 def _graph_docs(graphs) -> list[dict]:
@@ -231,17 +217,6 @@ def _ordered_first_k(rows, cols, keys, n_rows: int, k: int) -> tuple[np.ndarray,
     order = np.lexsort((keys, rows))
     first = order[np.searchsorted(rows, np.arange(n_rows))[:, None] + np.arange(k)]
     return cols[first], keys[first]
-
-
-def _first_k(keys: np.ndarray, k: int) -> np.ndarray:
-    """Columns of the k smallest keys in each row, ordered by (key, column).
-
-    Equal to the first k columns of a stable argsort, ties included, without
-    sorting whole rows: only the candidates up to each row's k-th value are
-    sorted.
-    """
-    rows, cols = _candidates(keys, k, 0.0)
-    return _ordered_first_k(rows, cols, keys[rows, cols], keys.shape[0], k)[0]
 
 
 def _filter_margin(sizes: np.ndarray, d: int, by_norm: bool, single: bool = False) -> np.ndarray:
@@ -459,16 +434,27 @@ def knn_edges(ds: Dataset, spec: GraphSpec) -> KnnEdges:
     return KnnEdges(spec, n, i, j, keys.ravel()[entries], entries % k)
 
 
+def _selection_weights(spec: GraphSpec, keys: np.ndarray, rows) -> np.ndarray:
+    """The clamped weights of a selection's edges, from their keys: gaussian
+    ``exp(-key / 2 sigma^2)`` on the squared distance, and cosine, jaccard and
+    tanimoto ``-key``, each ``edge_weight`` on the pair bit for bit; dot_product,
+    which selects by squared distance, ``edge_weight`` over the pair ``rows()``."""
+    if spec.scheme == "dot_product":
+        w = edge_weight(*rows(), spec)
+    elif spec.scheme == "gaussian":
+        w = _gaussian(keys, spec.sigma)
+    else:
+        w = -keys
+    return np.maximum(w, 0.0)
+
+
 def build_graph(ds: Dataset, spec: GraphSpec, edges: KnnEdges) -> BaseGraph:
     """Realize a spec against a dataset: the union-symmetrized kNN edges.
 
     ``edges`` are the union edges of a selection under the spec's measure at
     k >= ``spec.k``, as ``knn_edges`` forms them and ``build_pool`` shares
-    them; the spec takes those of rank < k.  The weights come from the
-    selection's keys: gaussian ``exp(-key / 2 sigma^2)`` on the squared
-    distance, and cosine, jaccard and tanimoto ``-key``, as their closeness
-    is their weight.  dot_product selects by squared distance, so its weights
-    are ``edge_weight`` over the gathered rows.  Negative weights clamp to 0.
+    them; the spec takes those of rank < k, weighed from their keys
+    (``_selection_weights``).
     """
     if (edges.n, _measure(edges.spec)) != (ds.n, _measure(spec)) or edges.spec.k < spec.k:
         raise ValueError(
@@ -477,14 +463,9 @@ def build_graph(ds: Dataset, spec: GraphSpec, edges: KnnEdges) -> BaseGraph:
         )
     share = edges.rank < spec.k
     i, j = edges.i[share], edges.j[share]
-    if spec.scheme == "dot_product":
-        X = ds.feature_matrix
-        w = edge_weight(X[i], X[j], spec)
-    elif spec.scheme == "gaussian":
-        w = _gaussian(edges.key[share], spec.sigma)
-    else:
-        w = -edges.key[share]
-    return BaseGraph(spec, edges.n, i, j, np.maximum(w, 0.0))
+    X = ds.feature_matrix
+    return BaseGraph(spec, edges.n, i, j,
+                     _selection_weights(spec, edges.key[share], lambda: (X[i], X[j])))
 
 
 def share_per_measure(specs, select):
@@ -531,24 +512,30 @@ def query_vector(ds: Dataset, x0) -> np.ndarray:
     return x0
 
 
-def query_neighbors(ds: Dataset, x0, spec: GraphSpec) -> np.ndarray:
-    """The query's k nearest database nodes by the spec's measure, as ``knn_neighbors``."""
-    x0 = query_vector(ds, x0)
-    return _first_k(-_closeness(x0, ds.feature_matrix, spec)[None, :], spec.k)[0]
+def query_neighbors(ds: Dataset, x0, spec: GraphSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The query's k nearest database nodes by the spec's measure, closest
+    first, and their selection keys, as ``knn_neighbors`` gives a node's row."""
+    keys = -_closeness(query_vector(ds, x0), ds.feature_matrix, spec)[None, :]
+    rows, cols = _candidates(keys, spec.k, 0.0)
+    neighbors, selected = _ordered_first_k(rows, cols, keys[rows, cols], 1, spec.k)
+    return neighbors[0], selected[0]
 
 
-def extend_graph(graph: BaseGraph, ds: Dataset, x0, neighbors):
+def extend_graph(graph: BaseGraph, ds: Dataset, x0, selection):
     """The edges a query adds to a database graph as node 0, whose database
     block is frozen: its k nearest database nodes under the graph's spec, in
-    ascending order, and the clamped weights to them.  ``neighbors`` is the
-    query's selection under the graph's measure, closest first, at least k
-    long, as ``query_neighbors`` gives it.
+    ascending order, and the clamped weights to them.  ``selection`` is the
+    query's ``(neighbors, keys)`` under the graph's measure, closest first,
+    at least k long, as ``query_neighbors`` gives it; the weights come from
+    the keys by ``build_graph``'s rule (``_selection_weights``).
     """
     x0 = query_vector(ds, x0)
     if graph.n != ds.n:
         raise ValueError("graph and dataset have different node counts")
-    nbrs = np.sort(neighbors[: graph.spec.k])
-    return nbrs, np.maximum(edge_weight(x0, ds.feature_matrix[nbrs], graph.spec), 0.0)
+    # the positions of the first k, by neighbour index
+    by_index = np.argsort(selection[0][: graph.spec.k])
+    nbrs, keys = selection[0][by_index], selection[1][by_index]
+    return nbrs, _selection_weights(graph.spec, keys, lambda: (x0, ds.feature_matrix[nbrs]))
 
 
 # buckets of each median selection pass, and the most exact values a pass keeps
@@ -774,7 +761,7 @@ def load_pool(path) -> GraphPool:
     with open(path, "rb") as fh:
         data = fh.read()
     line = data.find(b"\n") + 1 or len(data)
-    doc, body = json.loads(data[:line]), memoryview(data)[line:]
+    doc, body = json_document(data[:line], f"{where}: {path}: header line"), memoryview(data)[line:]
     if json_field(doc, "version", int, where) != 2:
         raise ValueError(f"unsupported pool file version {doc['version']!r}: this release "
                          "reads version 2; build the pool again with `multigrank pool`")

@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.sparse as sp
 
-from .dataset import Dataset, RelevanceMatrix, dataset_fingerprint, json_field
+from .dataset import Dataset, RelevanceMatrix, dataset_fingerprint, json_document, json_field
 from .graphs import GraphPool, extend_graph, query_neighbors, query_vector, share_per_measure
 from .specs import HyperParams
 
@@ -236,17 +236,18 @@ def combine_laplacians(edges, mu: np.ndarray, n: int) -> QueryStar:
 
 
 def _database_system(pool: GraphPool, mu: np.ndarray, alpha: float, shift: float):
-    """``A = shift I + alpha (D - W)`` for ``W = sum_m mu_m W_m``, as CSR on
-    the edge table's fixed pattern, and its diagonal: the training system at
-    shift 1, the frozen online block at shift ridge."""
+    """``A = shift I + alpha (D - W)`` for ``W = sum_m mu_m W_m``, as CSR over
+    the edge table's edges both ways and the diagonal, and its diagonal: the
+    training system at shift 1, the frozen online block at shift ridge."""
     table = pool.edge_table
     n = pool.n
     w = table.weights @ mu
     deg = np.bincount(table.i, w, minlength=n) + np.bincount(table.j, w, minlength=n)
     diag = shift + alpha * deg
     off = -alpha * w
-    data = np.concatenate([diag, off, off])[table.order]
-    return sp.csr_matrix((data, table.indices, table.indptr), shape=(n, n)), diag
+    nodes = np.arange(n)
+    rows, cols = np.concatenate([(nodes, nodes), (table.i, table.j), (table.j, table.i)], axis=1)
+    return sp.csr_matrix((np.concatenate([diag, off, off]), (rows, cols)), shape=(n, n)), diag
 
 
 def _column_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -484,7 +485,7 @@ def _rank_extended(pool: GraphPool, mu: np.ndarray, ds: Dataset, x0, alpha: floa
     graphs = [pool.graphs[i] for i in active]
     shared = share_per_measure([g.spec for g in graphs],
                                lambda spec: query_neighbors(ds, x0, spec))
-    edges = [extend_graph(g, ds, x0, nbrs) for g, (_, nbrs) in zip(graphs, shared)]
+    edges = [extend_graph(g, ds, x0, selection) for g, (_, selection) in zip(graphs, shared)]
     star = combine_laplacians(edges, mu[active], pool.n)
     f = grank_solve(star, _frozen_factor(pool, mu, alpha, ridge), alpha, ridge)
     return make_ranked(query_id, f[1:], ds.ids)
@@ -548,8 +549,8 @@ def save_model(model: RankModel, path) -> None:
 def load_model(path) -> RankModel:
     """Inverse of save_model."""
     where = "model file corrupt"
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    with open(path, "rb") as fh:
+        doc = json_document(fh.read(), f"{where}: {path}")
     if json_field(doc, "version", int, where) != 2:
         raise ValueError(f"unsupported model file version {doc['version']!r}: this release "
                          "reads version 2; train the model again with `multigrank train`")

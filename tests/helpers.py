@@ -9,7 +9,6 @@ from multigrank.dataset import Dataset, DomainRecord
 from multigrank.graphs import (
     BaseGraph,
     _closeness,
-    _first_k,
     _sq_dist,
     build_graph,
     edge_weight,
@@ -64,6 +63,12 @@ def knn_graph_oracle(ds, spec, neighbors=None) -> BaseGraph:
     cols = np.ravel(neighbors)
     i, j = np.divmod(np.unique(np.minimum(rows, cols) * n + np.maximum(rows, cols)), n)
     return BaseGraph(spec, n, i, j, np.maximum(edge_weight(X[i], X[j], spec), 0.0))
+
+
+def _first_k(keys: np.ndarray, k: int) -> np.ndarray:
+    """Columns of the k smallest keys in each row, ordered by (key, column):
+    the first k columns of a stable argsort of the whole row, NaN last."""
+    return np.argsort(keys, axis=1, kind="stable")[:, :k]
 
 
 def query_edges(graph, ds, x0):

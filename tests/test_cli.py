@@ -387,6 +387,32 @@ class TestExitCodes:
             assert rc == 1
             assert f"error: {message}" in capsys.readouterr().err
 
+    def test_non_json_files_exit_code(self, tmp_path, workspace, capsys):
+        # an empty pool file, a model file cut short and a config in another
+        # format: each error names the kind of file and its path
+        bad = {"pool": tmp_path / "empty.bin", "model": tmp_path / "cut.json",
+               "config": tmp_path / "cfg.toml"}
+        bad["pool"].write_bytes(b"")
+        bad["model"].write_text("{")
+        bad["config"].write_text('alpha = 1.0\n')
+        cases = [
+            ("pool", f"pool file corrupt: {bad['pool']}: header line is not JSON "
+                     "(Expecting value: line 1 column 1 (char 0))"),
+            ("model", f"model file corrupt: {bad['model']} is not JSON (Expecting property "
+                      "name enclosed in double quotes: line 1 column 2 (char 1))"),
+            ("config", f"config file {bad['config']} is not JSON (Expecting value: "
+                       "line 1 column 1 (char 0))"),
+        ]
+        for key, message in cases:
+            files = {"pool": workspace["pool"], "model": workspace["model"], key: bad[key]}
+            args = ["rank", "--out", str(tmp_path / "r"), "--dataset", str(workspace["db"]),
+                    "--pool", str(files["pool"]), "--model", str(files["model"]),
+                    "--queries", str(workspace["queries"])]
+            rc = cli.main(args + (["--config", str(bad["config"])] if key == "config" else []))
+            assert rc == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "r").exists()
+
     def test_json_dataset_exit_code(self, tmp_path, capsys):
         # datasets are CSV only: a JSON file of well-formed records is refused
         db = tmp_path / "db.json"

@@ -928,7 +928,7 @@ class TestExtend:
     def test_dimension_mismatch(self):
         ds, g = self._setup()
         with pytest.raises(ValueError, match="dimension"):
-            extend_graph(g, ds, np.ones(5), np.arange(3))
+            extend_graph(g, ds, np.ones(5), (np.arange(3), np.zeros(3)))
 
     def test_query_neighbors_break_ties_by_index(self):
         # the query's three nearest points are copies of 3.0; the next four
@@ -938,6 +938,9 @@ class TestExtend:
         g = knn_graph(ds, spec_for("gaussian", 5, sigma=2.0))
         nbrs, _ = query_edges(g, ds, np.array([2.4]))
         assert sorted(nbrs) == [0, 1, 3, 4, 6]
+        selected, keys = query_neighbors(ds, np.array([2.4]), g.spec)
+        closeness = graphs._closeness(np.array([2.4]), X, g.spec)
+        assert keys.tobytes() == (-closeness)[selected].tobytes()
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -958,10 +961,10 @@ class TestExtend:
         for spec, (shared_spec, selected) in zip(specs, shared):
             assert shared_spec is spec
             own = query_neighbors(ds, x0, spec)
-            nbrs = selected[: spec.k]
-            assert nbrs.dtype == own.dtype and nbrs.tobytes() == own.tobytes()
+            for a, b in zip(selected, own):
+                assert a.dtype == b.dtype and a[: spec.k].tobytes() == b.tobytes()
             keys = [-rounded_closeness(x0, x, spec.scheme) for x in X]
-            assert own.tolist() == np.argsort(keys, kind="stable")[: spec.k].tolist()
+            assert own[0].tolist() == np.argsort(keys, kind="stable")[: spec.k].tolist()
             no_edges = np.empty(0, dtype=np.int64)
             graph = BaseGraph(spec, ds.n, no_edges, no_edges, np.empty(0))
             for a, b in zip(extend_graph(graph, ds, x0, selected), query_edges(graph, ds, x0)):
@@ -1007,14 +1010,23 @@ class TestCsrAssembly:
     build of the extended graph's Laplacian bit for bit, and the database
     system at one-hot weights must equal D - W."""
 
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12), scheme=st.sampled_from(SCHEMES))
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12), scheme=st.sampled_from(SCHEMES),
+           rows=st.sampled_from(["uniform", "tied", "duplicate"]))
     @settings(max_examples=200, deadline=None)
-    def test_extend_and_laplacian_match_sparse_builds(self, seed, n, scheme):
+    def test_extend_and_laplacian_match_sparse_builds(self, seed, n, scheme, rows):
+        # uniform rows, small-integer rows and queries that tie often, or
+        # copies of at most three distinct rows
         rng = np.random.default_rng(seed)
-        ds = dataset_from_arrays(rng.uniform(0.1, 1.0, size=(n, 3)))
+        if rows == "tied":
+            X, x0 = rng.integers(1, 4, (n, 3)).astype(float), rng.integers(1, 4, 3).astype(float)
+        else:
+            X, x0 = rng.uniform(0.1, 1.0, (n, 3)), rng.uniform(0.1, 1.0, 3)
+        if rows == "duplicate":
+            X = X[rng.integers(0, min(n, 3), n)]
+        ds = dataset_from_arrays(X)
         graph = arbitrary_graph(rng, n, spec_for(scheme, int(rng.integers(1, n + 1))))
         # half the time a copy of a database point
-        x0 = ds.feature_matrix[rng.integers(n)] if rng.random() < 0.5 else rng.uniform(0.1, 1.0, 3)
+        x0 = ds.feature_matrix[rng.integers(n)] if rng.random() < 0.5 else x0
         assert_query_row_matches(graph, ds, x0)
 
     def test_pool_graphs_match_sparse_builds(self):

@@ -838,6 +838,32 @@ def test_uniform_weights_select_once_per_measure(monkeypatch):
     assert pool.m == 14 and widths == [10] * 4
 
 
+def test_query_edges_weighed_from_selection_keys(monkeypatch):
+    # a query's gaussian edges are weighed from its selection keys, as the
+    # pool's are; only dot_product, which selects by squared distance, reads
+    # the features again, once per query
+    import multigrank.graphs as graphs
+
+    ds = generate_synthetic(3, 10, 4, 1.0, 4.0, 2)
+    pool = build_pool(ds, [GraphSpec("gaussian", 5, 2.0), GraphSpec("dot_product", 5)])
+    queries = [ds.records[4].features + 0.1, np.full(ds.dim, 0.5)]
+    calls = []
+    weigh = graphs.edge_weight
+
+    def counted(x_i, x_j, spec):
+        calls.append(spec.scheme)
+        return weigh(x_i, x_j, spec)
+
+    monkeypatch.setattr(graphs, "edge_weight", counted)
+    for m, expected in ((0, []), (1, ["dot_product"] * len(queries))):
+        mu = np.eye(pool.m)[m]
+        model = RankModel(GraphWeights(mu), HyperParams(), pool.fingerprint, [])
+        calls.clear()
+        for x0 in queries:
+            rank_online(model, pool, ds, x0)
+        assert calls == expected
+
+
 def test_ridge_zero_ignores_edges_of_graphs_of_weight_zero():
     # a wide graph of weight 0 joins the two clusters: its edges are in the
     # pool's edge table, at weight 0 under a one-hot mu, and must not count
